@@ -13,9 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Tier-1 verification: what must stay green on every commit.
+# Tier-1 verification: what must stay green on every commit. perfbench/
+# is a module of its own (built against this tree through its replace
+# directive), so it is vetted from inside it: a change to a package the
+# benchmark replays fails here, not in the benchmark run.
 verify: build
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 	$(GO) test ./...
 
 # Extended verification: race detector across the concurrent paths
@@ -93,7 +97,9 @@ verify-crash:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# The service-cache acceptance pair: cached must be >=10x cheaper than cold.
+# The service-cache acceptance pair: a single-object request's evaluation
+# (a one-element batch through the columnar path), cached vs cold; cached
+# must be >=10x cheaper.
 bench-cache:
 	$(GO) test -run XXX -bench 'Footprint(Cold|Cached)' -benchmem ./internal/serve/
 
@@ -103,7 +109,9 @@ bench-fleet:
 	$(GO) test -run XXX -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK)' -benchmem ./internal/fleet/
 
 # The columnar-engine acceptance pair: the colbatch sweep must beat the
-# scalar cold path by >=10x per scenario at zero allocs.
+# frozen scalar cold baseline in scripts/bench_json.sh by >=10x per
+# scenario at zero allocs. FootprintCold times a single-object request,
+# now a one-element columnar batch, beside the 512-scenario batch.
 bench-batch:
 	$(GO) test -run XXX -bench 'ColBatch' -benchmem ./internal/colbatch/
 	$(GO) test -run XXX -bench 'Footprint(Cold|BatchColumnar)' -benchmem ./internal/serve/

@@ -155,7 +155,7 @@ func Eval(specs []*scenario.Spec) *Results {
 type docSpan struct{ start, end int }
 
 // scalarEval is the oracle: the untouched scalar path, evaluated and
-// encoded exactly as cmd/act -format json and actd's cache-miss path do.
+// encoded exactly as cmd/act -format json does.
 func scalarEval(s *scenario.Spec) ([]byte, error) {
 	res, err := s.Result()
 	if err != nil {

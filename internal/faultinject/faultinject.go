@@ -22,8 +22,8 @@ import (
 // The canonical injection sites. A hook registered for one of these fires
 // every time the corresponding code path is visited.
 const (
-	// SiteCacheCompute fires in the footprint cache's leader path, before
-	// the model evaluation that populates a cache entry.
+	// SiteCacheCompute fires once per distinct footprint cache miss,
+	// before the model evaluation that populates a cache entry.
 	SiteCacheCompute = "serve.cache.compute"
 	// SitePoolWorker fires in every parsweep worker immediately before it
 	// runs an item.

@@ -21,7 +21,7 @@ import (
 // envelope. floor is the first WAL segment sequence NOT covered by the
 // shipped state (0 for an in-memory registry).
 func (r *Registry) WriteShip(w io.Writer, floor uint64) error {
-	if _, err := w.Write(envelopeHeader(floor, 0)); err != nil {
+	if _, err := w.Write(envelopeHeader(floor)); err != nil {
 		return fmt.Errorf("fleet: ship: %w", err)
 	}
 	return r.Snapshot(w)

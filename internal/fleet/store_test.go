@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"act/internal/units"
@@ -107,6 +108,9 @@ func TestStoreRotationAndCheckpoint(t *testing.T) {
 		t.Fatalf("wal dir after checkpoint: %v, want exactly the active segment", names)
 	}
 
+	// Earlier writers set the envelope's flags byte to 1. The byte is
+	// checksummed but otherwise unread, so such a snapshot opens unchanged.
+	setSnapshotFlags(t, m, 1)
 	reg2, _ := reopen(t, m, 1024)
 	if got := summaryBytes(t, reg2); !bytes.Equal(got, want) {
 		t.Fatal("post-checkpoint recovery not byte-identical")
@@ -120,6 +124,33 @@ func TestStoreRotationAndCheckpoint(t *testing.T) {
 	if got, want := summaryBytes(t, reg3), summaryBytes(t, reg2); !bytes.Equal(got, want) {
 		t.Fatal("recovery after post-checkpoint ingest diverged")
 	}
+}
+
+// setSnapshotFlags rewrites the snapshot envelope's flags byte and its
+// header checksum, durably.
+func setSnapshotFlags(t *testing.T, m *vfs.MemFS, flags byte) {
+	t.Helper()
+	f, err := m.OpenRW(testSnapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := envelopeHeader(0)
+	if _, err := io.ReadFull(f, hdr); err != nil {
+		t.Fatal(err)
+	}
+	const flagsAt = 8 + 4 + 8
+	hdr[flagsAt] = flags
+	hdr = appendU64(hdr[:flagsAt+1], fnvAdd(fnvOffset64, hdr[:flagsAt+1]))
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
 }
 
 // corruptSegmentByte flips one byte in the middle of the named segment.
@@ -243,77 +274,6 @@ func TestStoreTornActiveTailAdopted(t *testing.T) {
 	}
 	if _, err := reg2.Upsert(testDevice("after-torn", 2, "india")); err != nil {
 		t.Fatalf("append after torn-tail adoption: %v", err)
-	}
-}
-
-// Migration: a pre-segmentation layout (bare snapshot file + single-file
-// WAL at the WALDir path) opens cleanly, replays the old WAL, and the
-// first checkpoint retires it.
-func TestStoreLegacyMigration(t *testing.T) {
-	m := vfs.NewMemFS()
-	oracle := New(Config{Shards: 8})
-	storeFleet(t, oracle, nil, 12)
-
-	// Old-style snapshot: the bare ACTFLEET stream, no envelope.
-	if err := m.MkdirAll("data"); err != nil {
-		t.Fatal(err)
-	}
-	sf, err := m.Create(testSnapPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oracle.Snapshot(sf); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	_ = sf.Close()
-
-	// Old-style WAL: frames straight into the file that is now WALDir.
-	var walBuf bytes.Buffer
-	oracle.AttachLog(&walBuf)
-	late := testDevice("legacy-late", 3, "europe")
-	if _, err := oracle.Upsert(late); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := oracle.Remove("dev-01"); err != nil {
-		t.Fatal(err)
-	}
-	oracle.AttachLog(nil)
-	wf, err := m.Create(testWALDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wf.Write(walBuf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := wf.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	_ = wf.Close()
-	if err := m.SyncDir("data"); err != nil {
-		t.Fatal(err)
-	}
-
-	want := summaryBytes(t, oracle)
-	reg, st := openTestStore(t, m, 2048)
-	if got := summaryBytes(t, reg); !bytes.Equal(got, want) {
-		t.Fatal("migrated recovery not byte-identical to legacy state")
-	}
-	if _, err := m.Stat(testWALDir + "/" + legacyWALName); err != nil {
-		t.Fatalf("legacy wal not preserved in migrated dir: %v", err)
-	}
-
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Stat(testWALDir + "/" + legacyWALName); err == nil {
-		t.Fatal("legacy wal survived the checkpoint that covers it")
-	}
-	reg2, _ := reopen(t, m, 2048)
-	if got := summaryBytes(t, reg2); !bytes.Equal(got, want) {
-		t.Fatal("post-migration checkpoint recovery diverged")
 	}
 }
 
@@ -523,5 +483,55 @@ func TestStoreCorruptSnapshotFatal(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "restore") {
 		t.Fatalf("unexpected error shape: %v", err)
+	}
+
+	// A regular file where the WAL directory belongs is refused, and left
+	// as it was.
+	m = vfs.NewMemFS()
+	writeTestFile(t, m, testWALDir, []byte("not a segment directory"))
+	_, err = OpenStore(context.Background(), New(Config{Shards: 8}), StoreConfig{
+		FS: m, SnapshotPath: testSnapPath, WALDir: testWALDir,
+	})
+	if !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("WALDir naming a regular file: err = %v, want ENOTDIR", err)
+	}
+	if fi, err := m.Stat(testWALDir); err != nil || fi.IsDir {
+		t.Fatalf("WALDir file disturbed: %+v, %v", fi, err)
+	}
+
+	// A bare registry snapshot (ACTFLEET magic, no envelope) is refused:
+	// without the envelope there is no WAL floor to recover from.
+	m = vfs.NewMemFS()
+	var bare bytes.Buffer
+	oracle := New(Config{Shards: 8})
+	storeFleet(t, oracle, nil, 3)
+	if err := oracle.Snapshot(&bare); err != nil {
+		t.Fatal(err)
+	}
+	writeTestFile(t, m, testSnapPath, bare.Bytes())
+	_, err = OpenStore(context.Background(), New(Config{Shards: 8}), StoreConfig{
+		FS: m, SnapshotPath: testSnapPath, WALDir: testWALDir,
+	})
+	if err == nil || !strings.Contains(err.Error(), `unrecognized magic "ACTFLEET"`) {
+		t.Fatalf("bare ACTFLEET snapshot: err = %v, want unrecognized magic", err)
+	}
+}
+
+// writeTestFile creates name with data, durably.
+func writeTestFile(t *testing.T, m *vfs.MemFS, name string, data []byte) {
+	t.Helper()
+	f, err := m.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+	if err := m.SyncDir("data"); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,32 +1,24 @@
-// The footprint cache: a bounded LRU with singleflight admission. Fleet
-// assessments ("Chasing Carbon" style) batch thousands of device BoMs of
-// which only a handful are distinct, so the common case is that a
-// scenario's result is already resident — or being computed right now by
-// another request's worker. The LRU answers the first case, the flight
-// table the second: concurrent callers of the same key coalesce onto one
-// computation instead of evaluating the model N times.
+// The footprint cache: a bounded LRU. Fleet assessments ("Chasing Carbon"
+// style) batch thousands of device BoMs of which only a handful are
+// distinct, so the common case is that a scenario's result is already
+// resident. The columnar path probes residency with Get, dedupes the
+// misses within the request, and stores each fresh result with Put.
 
 package serve
 
 import (
 	"container/list"
-	"context"
-	"fmt"
 	"sync"
-
-	"act/internal/faultinject"
 )
 
-// Cache is a bounded LRU keyed by string with singleflight admission. The
-// zero value is not usable; see NewCache. All methods are safe for
-// concurrent use.
+// Cache is a bounded, mutex-guarded LRU keyed by string. The zero value is
+// not usable; see NewCache. All methods are safe for concurrent use.
 type Cache[V any] struct {
 	capacity int
 
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used
-	items   map[string]*list.Element
-	flights map[string]*flight[V]
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
 }
 
 type lruEntry[V any] struct {
@@ -34,84 +26,17 @@ type lruEntry[V any] struct {
 	val V
 }
 
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
 // NewCache creates a cache holding at most capacity entries. A capacity
-// below 1 disables residency — every Do computes (still coalesced by the
-// flight table), nothing is stored.
+// below 1 disables residency: Put stores nothing and every Get misses.
 func NewCache[V any](capacity int) *Cache[V] {
 	return &Cache[V]{
 		capacity: capacity,
 		ll:       list.New(),
 		items:    map[string]*list.Element{},
-		flights:  map[string]*flight[V]{},
 	}
 }
 
-// Do returns the value for key, computing it with fn on a miss. Concurrent
-// calls for the same key run fn exactly once: latecomers block until the
-// leader finishes (or their ctx is done, in which case they abandon the
-// wait — the leader still completes and populates the cache). hit reports
-// whether this call avoided running fn, i.e. the value came from residency
-// or a coalesced flight. Errors are propagated to every waiter and are not
-// cached, so a transiently failing key can be retried.
-//
-// fn receives the leader's ctx so the computation can honor the request
-// deadline: a leader whose deadline lapses fails its flight with the ctx
-// error (not cached — the next request recomputes) instead of holding a
-// worker on a result nobody is waiting for.
-func (c *Cache[V]) Do(ctx context.Context, key string, fn func(ctx context.Context) (V, error)) (v V, hit bool, err error) {
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		v = el.Value.(*lruEntry[V]).val
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-			// hit only when the flight produced a usable value.
-			return f.val, f.err == nil, f.err
-		case <-ctx.Done():
-			return v, false, ctx.Err()
-		}
-	}
-	f := &flight[V]{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	// Leader path. The deferred cleanup keeps waiters from blocking forever
-	// if fn panics: the flight finishes with an error so waiters fail
-	// cleanly, then the panic continues on the leader's goroutine.
-	defer func() {
-		if r := recover(); r != nil {
-			f.err = fmt.Errorf("serve: cache compute panicked: %v", r)
-			c.finish(key, f)
-			panic(r)
-		}
-	}()
-	if ierr := faultinject.Visit(ctx, faultinject.SiteCacheCompute); ierr != nil {
-		f.err = ierr
-	} else {
-		f.val, f.err = fn(ctx)
-	}
-	v, err = f.val, f.err
-	if err == nil {
-		c.store(key, v)
-	}
-	c.finish(key, f)
-	return v, false, err
-}
-
-// Get returns the resident value for key, bumping its recency. Unlike Do
-// it never waits on a flight — the columnar batch path probes residency
-// up front and dedupes the misses itself.
+// Get returns the resident value for key, bumping its recency.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -123,38 +48,26 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	return zero, false
 }
 
-// Put stores a computed value without flight coordination, for callers
-// that evaluated the key outside Do (the columnar batch path).
-func (c *Cache[V]) Put(key string, v V) { c.store(key, v) }
-
-// finish removes the flight and wakes its waiters.
-func (c *Cache[V]) finish(key string, f *flight[V]) {
-	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	close(f.done)
-}
-
-// store inserts a computed value, evicting from the cold end when full.
-func (c *Cache[V]) store(key string, v V) {
+// Put stores a computed value, evicting from the cold end when full.
+// Storing a resident key replaces its value and bumps its recency: two
+// concurrent requests can evaluate the same key.
+func (c *Cache[V]) Put(key string, v V) {
 	if c.capacity < 1 {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		// A concurrent leader for the same key can race us here; keep the
-		// freshest value and bump it.
 		el.Value.(*lruEntry[V]).val = v
 		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
-		for c.ll.Len() > c.capacity {
-			oldest := c.ll.Back()
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*lruEntry[V]).key)
-		}
+		return
 	}
-	c.mu.Unlock()
+	c.items[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: v})
+	for c.ll.Len() > c.capacity {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruEntry[V]).key)
+	}
 }
 
 // Len returns the number of resident entries.

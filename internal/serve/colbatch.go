@@ -1,9 +1,9 @@
-// The columnar batch path for /v1/footprint: array requests decode once,
-// probe the footprint cache per canonical key, and evaluate only the
-// distinct misses through internal/colbatch in chunked column batches
-// fanned across the worker pool. Single-object requests keep the scalar
-// evalOne path untouched — it is the oracle the columnar engine is
-// conformance-tested against.
+// The evaluation path for /v1/footprint: a request — an array, or a
+// single object as a batch of one — decodes once, probes the footprint
+// cache per canonical key, and evaluates only the distinct misses through
+// internal/colbatch in chunked column batches fanned across the worker
+// pool. The scalar model stays the oracle inside internal/colbatch: any
+// item the columnar decoder cannot prove valid gets the scalar answer.
 
 package serve
 
@@ -26,15 +26,15 @@ import (
 // scenarios fails: the pool sees a non-ctx error (so it cancels and wins
 // over ctx-induced sibling failures), while the real per-scenario error
 // is recorded out of band and re-wrapped with the scenario index — the
-// same "parsweep: item i" shape the scalar batch path reports.
+// same "parsweep: item i" shape a per-scenario pool would report.
 var errScenarioFailed = errors.New("scenario failed")
 
 // maxPooledBufBytes caps the capacity of response buffers returned to the
 // pool, so one huge batch response does not pin its buffer forever.
 const maxPooledBufBytes = 1 << 20
 
-// bufPool holds response-encoding buffers: the per-result document buffer
-// in evalOne and the batch join buffer in handleFootprint.
+// bufPool holds the batch join buffer handleFootprint encodes an array
+// response into.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func getBuf() *bytes.Buffer {
@@ -53,13 +53,13 @@ func putBuf(b *bytes.Buffer) {
 // work fanned across the pool.
 type missChunk struct{ start, end int }
 
-// evalBatchColumnar answers a whole batch: cache probes for residency,
+// evalBatchColumnar answers a whole request: cache probes for residency,
 // batch-local dedup by canonical key, columnar evaluation of the distinct
-// misses. Metrics match the scalar path item for item — every scenario
-// counts, a resident or batch-coalesced item is a hit, every distinct
-// evaluation is a miss — and item errors carry the same "[i]"-prefixed
-// field paths the scalar batch path reports.
-func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) ([]json.RawMessage, error) {
+// misses. Every scenario counts, a resident or batch-coalesced item is a
+// hit, every distinct evaluation is a miss. indexed selects the error
+// shape: an array request's item errors carry "[i]"-prefixed field paths
+// ("[1].usage.app_hours"); a single object's stay unprefixed.
+func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec, indexed bool) ([]json.RawMessage, error) {
 	results := make([]json.RawMessage, len(specs))
 	keyOf := make([]string, len(specs))
 	first := make(map[string]int, len(specs)) // key → first non-resident index
@@ -74,8 +74,8 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 			continue
 		}
 		if _, seen := first[key]; seen {
-			// Coalesced onto the first occurrence's evaluation — the
-			// batch-local equivalent of joining a cache flight.
+			// Coalesced onto the first occurrence's evaluation in
+			// this request.
 			s.mCacheHits.Inc()
 			continue
 		}
@@ -100,6 +100,9 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 			errVal error
 		)
 		record := func(gi int, err error) error {
+			if indexed {
+				err = acterr.Prefix(fmt.Sprintf("[%d]", gi), err)
+			}
 			errMu.Lock()
 			if errIdx == -1 || gi < errIdx {
 				errIdx, errVal = gi, err
@@ -113,12 +116,10 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 				defer s.mPoolDepth.Dec()
 				chunkSpecs := make([]*scenario.Spec, ch.end-ch.start)
 				for j := range chunkSpecs {
-					// Every evaluated scenario passes the injected-fault
-					// site the scalar cache-miss path passes, honoring
-					// the request deadline.
+					// Every evaluated scenario passes the cache-miss
+					// injected-fault site, honoring the request deadline.
 					if err := faultinject.Visit(ctx, faultinject.SiteCacheCompute); err != nil {
-						return struct{}{}, record(miss[ch.start+j],
-							acterr.Prefix(fmt.Sprintf("[%d]", miss[ch.start+j]), err))
+						return struct{}{}, record(miss[ch.start+j], err)
 					}
 					chunkSpecs[j] = specs[miss[ch.start+j]]
 				}
@@ -127,7 +128,7 @@ func (s *Server) evalBatchColumnar(ctx context.Context, specs []*scenario.Spec) 
 				for j := 0; j < r.Len(); j++ {
 					gi := miss[ch.start+j]
 					if err := r.Err(j); err != nil {
-						return struct{}{}, record(gi, acterr.Prefix(fmt.Sprintf("[%d]", gi), err))
+						return struct{}{}, record(gi, err)
 					}
 					// Copy out of the pooled arena before caching: the
 					// cache and the response outlive the batch columns.

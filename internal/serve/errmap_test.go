@@ -76,26 +76,35 @@ func TestFootprintStatusMapping(t *testing.T) {
 	url := ts.URL + "/v1/footprint"
 
 	valid := `{"name": "ok", "logic": [{"name": "soc", "area_mm2": 100, "node": "7nm"}], "usage": {"power_w": 5, "app_hours": 100}}`
+	// wantMessage pins the full envelope message for the single-object
+	// rows, so a drift in the wording — not only in the field — fails
+	// here. Array rows leave it empty and pin code and field only.
 	cases := []struct {
-		name      string
-		body      string
-		wantCode  int
-		wantClass string
-		wantField string
+		name        string
+		body        string
+		wantCode    int
+		wantClass   string
+		wantField   string
+		wantMessage string
 	}{
-		{"valid", valid, http.StatusOK, "", ""},
-		{"unknown-node", strings.Replace(valid, `"7nm"`, `"quantum"`, 1), http.StatusBadRequest, codeInvalidArgument, "logic[0]"},
-		{"bad-dram-tech", `{"name": "x", "dram": [{"name": "m", "technology": "sram-9000", "capacity_gb": 8}], "usage": {"power_w": 5, "app_hours": 100}}`, http.StatusBadRequest, codeInvalidArgument, "dram[0].technology"},
-		{"app-hours-past-lifetime", strings.Replace(valid, `"app_hours": 100`, `"app_hours": 1e6`, 1), http.StatusBadRequest, codeInvalidArgument, "usage.app_hours"},
-		{"unsupported-version", `{"version": 2, ` + valid[1:], http.StatusBadRequest, codeUnsupportedVersion, ""},
-		{"unknown-wire-field", `{"bogus": 1, ` + valid[1:], http.StatusBadRequest, codeInvalidArgument, ""},
-		{"malformed-json", `{"name": "x"`, http.StatusBadRequest, codeInvalidArgument, ""},
-		{"empty-body", ``, http.StatusBadRequest, codeInvalidArgument, ""},
-		{"empty-batch", `[]`, http.StatusBadRequest, codeInvalidArgument, ""},
-		{"batch-bad-element", `[` + valid + `, {"name": "broken"}]`, http.StatusBadRequest, codeInvalidArgument, "[1]"},
-		{"batch-bad-element-field", `[` + valid + `, ` + strings.Replace(valid, `"app_hours": 100`, `"app_hours": -1`, 1) + `]`, http.StatusBadRequest, codeInvalidArgument, "[1].usage.app_hours"},
-		{"batch-over-max", `[` + valid + `,` + valid + `,` + valid + `,` + valid + `]`, http.StatusRequestEntityTooLarge, codeTooLarge, ""},
-		{"body-over-max", `{"pad": "` + strings.Repeat("x", 8192) + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge, ""},
+		{"valid", valid, http.StatusOK, "", "", ""},
+		{"unknown-node", strings.Replace(valid, `"7nm"`, `"quantum"`, 1), http.StatusBadRequest, codeInvalidArgument, "logic[0]",
+			`parsweep: item 0: scenario: logic "soc": invalid spec field logic[0]: fab: unknown process node: cannot parse "quantum"`},
+		{"bad-dram-tech", `{"name": "x", "dram": [{"name": "m", "technology": "sram-9000", "capacity_gb": 8}], "usage": {"power_w": 5, "app_hours": 100}}`, http.StatusBadRequest, codeInvalidArgument, "dram[0].technology",
+			`parsweep: item 0: scenario: dram "m": invalid spec field dram[0].technology: memdb: cannot resolve DRAM technology "sram-9000"`},
+		{"app-hours-past-lifetime", strings.Replace(valid, `"app_hours": 100`, `"app_hours": 1e6`, 1), http.StatusBadRequest, codeInvalidArgument, "usage.app_hours",
+			`parsweep: item 0: scenario: invalid spec field usage.app_hours: app_hours 1e+06 exceeds the 3-year lifetime`},
+		{"unsupported-version", `{"version": 2, ` + valid[1:], http.StatusBadRequest, codeUnsupportedVersion, "",
+			`scenario: unsupported scenario version 2 (this library speaks version 1)`},
+		{"unknown-wire-field", `{"bogus": 1, ` + valid[1:], http.StatusBadRequest, codeInvalidArgument, "",
+			`scenario: json: unknown field "bogus"`},
+		{"malformed-json", `{"name": "x"`, http.StatusBadRequest, codeInvalidArgument, "", `scenario: unexpected EOF`},
+		{"empty-body", ``, http.StatusBadRequest, codeInvalidArgument, "", `scenario: invalid spec: empty request body`},
+		{"empty-batch", `[]`, http.StatusBadRequest, codeInvalidArgument, "", ""},
+		{"batch-bad-element", `[` + valid + `, {"name": "broken"}]`, http.StatusBadRequest, codeInvalidArgument, "[1]", ""},
+		{"batch-bad-element-field", `[` + valid + `, ` + strings.Replace(valid, `"app_hours": 100`, `"app_hours": -1`, 1) + `]`, http.StatusBadRequest, codeInvalidArgument, "[1].usage.app_hours", ""},
+		{"batch-over-max", `[` + valid + `,` + valid + `,` + valid + `,` + valid + `]`, http.StatusRequestEntityTooLarge, codeTooLarge, "", ""},
+		{"body-over-max", `{"pad": "` + strings.Repeat("x", 8192) + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge, "", `request body exceeds 4096 bytes`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -112,6 +121,9 @@ func TestFootprintStatusMapping(t *testing.T) {
 			}
 			if e.Field != c.wantField {
 				t.Errorf("field = %q, want %q", e.Field, c.wantField)
+			}
+			if c.wantMessage != "" && e.Message != c.wantMessage {
+				t.Errorf("message = %q, want %q", e.Message, c.wantMessage)
 			}
 		})
 	}

@@ -9,19 +9,18 @@ import (
 	"hash/fnv"
 	"net/http"
 
-	"act/internal/parsweep"
 	"act/internal/resilience"
 	"act/internal/scenario"
 )
 
 // handleFootprint evaluates one scenario (a JSON object) or a batch of them
 // (a JSON array). The response mirrors the request shape: a single result
-// object, or an array of results in request order. Every evaluation runs
-// through the footprint cache, so a batch of mostly identical BoMs costs as
-// many model evaluations as there are distinct scenarios; distinct ones fan
-// out across the worker pool. A batch that fails with a transient
-// infrastructure fault is retried whole (cache hits make the replay cheap);
-// validation failures never are.
+// object, or an array of results in request order. Both shapes run through
+// the columnar engine as a batch — a single object is a batch of one — so
+// every evaluation is cache-probed and only distinct misses cost a model
+// evaluation. A request that fails with a transient infrastructure fault
+// is retried whole (results cached by the failed attempt make the replay
+// cheap); validation failures never are.
 func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) {
 	specs, batch, err := scenario.ParseRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -41,28 +40,10 @@ func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Batches run through the columnar engine (cache-probe, dedupe,
-	// column-chunk fan-out); single objects keep the scalar evalOne path,
-	// which stays the conformance oracle for the columnar one. A batch
-	// that fails with a transient infrastructure fault is retried whole —
-	// results cached by the failed attempt make the replay cheap.
-	var results []json.RawMessage
-	if batch {
-		results, err = resilience.Retry(r.Context(), s.retryPolicy(uint64(len(specs))),
-			func(ctx context.Context, _ int) ([]json.RawMessage, error) {
-				return s.evalBatchColumnar(ctx, specs)
-			})
-	} else {
-		results, err = resilience.Retry(r.Context(), s.retryPolicy(uint64(len(specs))),
-			func(ctx context.Context, _ int) ([]json.RawMessage, error) {
-				return parsweep.MapErrCtx(ctx, s.cfg.Workers, specs,
-					func(ctx context.Context, i int, spec *scenario.Spec) (json.RawMessage, error) {
-						s.mPoolDepth.Inc()
-						defer s.mPoolDepth.Dec()
-						return s.evalOne(ctx, spec)
-					})
-			})
-	}
+	results, err := resilience.Retry(r.Context(), s.retryPolicy(uint64(len(specs))),
+		func(ctx context.Context, _ int) ([]json.RawMessage, error) {
+			return s.evalBatchColumnar(ctx, specs, batch)
+		})
 	if err != nil {
 		s.writeError(w, r, err)
 		return
@@ -97,54 +78,8 @@ func (s *Server) retryPolicy(seed uint64) resilience.RetryPolicy {
 	}
 }
 
-// evalOne resolves one scenario through the cache. The cached value is the
-// fully marshaled result document — cmd/act's -format json output — so a
-// hit skips both the model evaluation and the JSON encoding. A transient
-// fault in the cache or the lookup tables below it is retried under the
-// server's policy before it is allowed to fail the scenario.
-func (s *Server) evalOne(ctx context.Context, spec *scenario.Spec) (json.RawMessage, error) {
-	s.mScenarios.Inc()
-	key := spec.CanonicalKey()
-	type outcome struct {
-		raw json.RawMessage
-		hit bool
-	}
-	out, err := resilience.Retry(ctx, s.retryPolicy(fnvHash(key)),
-		func(ctx context.Context, _ int) (outcome, error) {
-			raw, hit, err := s.cache.Do(ctx, key, func(ctx context.Context) (json.RawMessage, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				res, err := spec.Result()
-				if err != nil {
-					return nil, err
-				}
-				// Encode through a pooled buffer, then copy into a
-				// right-sized slice: the cache retains the document, the
-				// buffer's spare capacity goes back to the pool.
-				buf := getBuf()
-				defer putBuf(buf)
-				enc := json.NewEncoder(buf)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(res); err != nil {
-					return nil, err
-				}
-				return json.RawMessage(bytes.Clone(buf.Bytes())), nil
-			})
-			return outcome{raw, hit}, err
-		})
-	if err != nil {
-		return nil, err
-	}
-	if out.hit {
-		s.mCacheHits.Inc()
-	} else {
-		s.mCacheMisses.Inc()
-	}
-	return out.raw, nil
-}
-
-// fnvHash folds a canonical key into a 64-bit retry-jitter seed.
+// fnvHash folds a string (a script's source) into a 64-bit retry-jitter
+// seed.
 func fnvHash(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))

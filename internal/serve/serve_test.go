@@ -537,19 +537,20 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // The acceptance benchmark pair: a cache hit must be at least an order of
-// magnitude cheaper than a cold evaluation (model + JSON encoding).
-// Compare with:
+// magnitude cheaper than a cold evaluation (model + JSON encoding). Both
+// time the footprint evaluation path for a single-object request — a
+// one-element batch through evalBatchColumnar. Compare with:
 //
 //	go test -bench 'Footprint(Cold|Cached)' -benchtime 2s ./internal/serve/
 
 func BenchmarkFootprintCold(b *testing.B) {
 	s := New(Config{CacheSize: -1, Logger: discardLogger()}) // no residency: every call evaluates
-	spec := scenario.Example()
+	specs := []*scenario.Spec{scenario.Example()}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.evalOne(ctx, spec); err != nil {
+		if _, err := s.evalBatchColumnar(ctx, specs, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -557,15 +558,15 @@ func BenchmarkFootprintCold(b *testing.B) {
 
 func BenchmarkFootprintCached(b *testing.B) {
 	s := New(Config{Logger: discardLogger()})
-	spec := scenario.Example()
+	specs := []*scenario.Spec{scenario.Example()}
 	ctx := context.Background()
-	if _, err := s.evalOne(ctx, spec); err != nil { // warm the cache
+	if _, err := s.evalBatchColumnar(ctx, specs, false); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.evalOne(ctx, spec); err != nil {
+		if _, err := s.evalBatchColumnar(ctx, specs, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -585,7 +586,7 @@ func BenchmarkFootprintBatchColumnar(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.evalBatchColumnar(ctx, specs); err != nil {
+		if _, err := s.evalBatchColumnar(ctx, specs, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -603,11 +604,11 @@ func TestBatchHandlerAllocsDropped(t *testing.T) {
 		specs[i] = testSpec(float64(10 + i))
 	}
 	ctx := context.Background()
-	if _, err := s.evalBatchColumnar(ctx, specs); err != nil { // warm pools + resolver caches
+	if _, err := s.evalBatchColumnar(ctx, specs, true); err != nil { // warm pools + resolver caches
 		t.Fatal(err)
 	}
 	perBatch := testing.AllocsPerRun(10, func() {
-		if _, err := s.evalBatchColumnar(ctx, specs); err != nil {
+		if _, err := s.evalBatchColumnar(ctx, specs, true); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -14,13 +14,13 @@
 //	GET  /readyz        readiness (503 while draining or a breaker is open)
 //	GET  /metrics       Prometheus text exposition
 //
-// Batch requests fan out across the parsweep worker pool under a
-// per-request concurrency bound; every scenario evaluation goes through an
-// LRU + singleflight cache keyed on the canonical scenario encoding
-// (scenario.CanonicalKey), so a fleet batch of identical BoMs costs one
-// model evaluation. Requests carry a server-imposed timeout (exceeded →
-// 504) and shutdown is graceful: in-flight requests drain, new ones are
-// rejected with 503.
+// Footprint requests fan out across the parsweep worker pool under a
+// per-request concurrency bound; every scenario is first probed in an LRU
+// cache keyed on the canonical scenario encoding (scenario.CanonicalKey),
+// and the misses are deduped within the request, so a fleet batch of
+// identical BoMs costs one model evaluation. Requests carry a
+// server-imposed timeout (exceeded → 504) and shutdown is graceful:
+// in-flight requests drain, new ones are rejected with 503.
 //
 // The resilience layer sits between the router and the handlers. The full
 // status taxonomy a client can observe:
@@ -220,13 +220,13 @@ func New(cfg Config) *Server {
 	s.mInflight = s.reg.NewGauge("actd_inflight_requests",
 		"API requests currently being served.")
 	s.mPoolDepth = s.reg.NewGauge("actd_pool_depth",
-		"Scenario evaluations queued or running on the worker pool.")
+		"Footprint column chunks being evaluated on the worker pool.")
 	s.mScenarios = s.reg.NewCounter("actd_scenarios_total",
 		"Scenarios evaluated across all requests, cached or not.")
 	s.mShed = s.reg.NewCounterVec("actd_shed_total",
 		"Requests turned away before any work was accepted, by reason.", "reason")
 	s.mRetries = s.reg.NewCounter("actd_retries_total",
-		"Transient-fault retries across scenario evaluations and batch fan-outs.")
+		"Transient-fault retries of whole footprint and script requests.")
 	s.mBreakerState = s.reg.NewGaugeVec("actd_breaker_state",
 		"Circuit breaker position per handler (0 closed, 1 open, 2 half-open).", "handler")
 	s.reg.NewGaugeFunc("actd_fleet_devices",

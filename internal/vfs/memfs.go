@@ -30,6 +30,7 @@ import (
 	"path"
 	"sort"
 	"sync"
+	"syscall"
 )
 
 type memNode struct {
@@ -303,13 +304,19 @@ func (m *MemFS) Stat(name string) (Info, error) {
 // MkdirAll records dir and its parents. Directory creation is treated as
 // immediately durable — a simplification (journaling filesystems order
 // mkdir cheaply) that keeps the model focused on the file and rename
-// windows that actually bite.
+// windows that actually bite. Like os.MkdirAll, it fails with ENOTDIR when
+// dir or one of its parents is a regular file.
 func (m *MemFS) MkdirAll(dir string) error {
 	dir = path.Clean(dir)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.step(); err != nil {
 		return err
+	}
+	for d := dir; d != "." && d != "/"; d = path.Dir(d) {
+		if _, ok := m.live[d]; ok {
+			return &fs.PathError{Op: "mkdir", Path: d, Err: syscall.ENOTDIR}
+		}
 	}
 	for d := dir; d != "." && d != "/"; d = path.Dir(d) {
 		m.dirs[d] = true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"io/fs"
+	"syscall"
 	"testing"
 )
 
@@ -291,8 +292,8 @@ func TestMemFSOpsCountStable(t *testing.T) {
 	}
 }
 
-// Stat distinguishes files from directories, for the legacy-WAL migration
-// probe in the fleet store.
+// Stat distinguishes files from directories, and MkdirAll refuses to
+// turn a file into one.
 func TestMemFSStat(t *testing.T) {
 	m := NewMemFS()
 	writeFile(t, m, "dir/f", "abc", true, true)
@@ -310,6 +311,9 @@ func TestMemFSStat(t *testing.T) {
 	fi, err = m.Stat("made/deep")
 	if err != nil || !fi.IsDir {
 		t.Fatalf("stat mkdir'd dir: %+v err=%v", fi, err)
+	}
+	if err := m.MkdirAll("dir/f/sub"); !errors.Is(err, syscall.ENOTDIR) {
+		t.Fatalf("MkdirAll through a file: %v, want ENOTDIR", err)
 	}
 	if _, err := m.Stat("nope"); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("stat missing: %v, want not-exist", err)
