@@ -2,6 +2,7 @@
 # a thin, documented wrapper so CI and humans run the same commands.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-json bench-export bench-script bench-cluster run-actd clean
 
@@ -16,8 +17,10 @@ test:
 # Tier-1 verification: what must stay green on every commit. perfbench/
 # is a module of its own (built against this tree through its replace
 # directive), so it is vetted from inside it: a change to a package the
-# benchmark replays fails here, not in the benchmark run.
+# benchmark replays fails here, not in the benchmark run. gofmt -l lists
+# every file whose layout drifts from gofmt's; any listing fails.
 verify: build
+	@drift="$$($(GOFMT) -l .)"; if [ -n "$$drift" ]; then echo "gofmt drift:"; echo "$$drift"; exit 1; fi
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) test ./...

@@ -29,6 +29,7 @@ import (
 	"os"
 
 	"act/internal/acterr"
+	"act/internal/colbatch"
 	"act/internal/core"
 	"act/internal/report"
 	"act/internal/scenario"
@@ -125,13 +126,15 @@ func run(path, format string, example bool, stdin io.Reader, stdout io.Writer) e
 		return err
 	}
 	if format == "json" {
-		res, err := spec.Result()
-		if err != nil {
+		// A batch of one through the columnar engine: the document actd
+		// serves for the same scenario.
+		res := colbatch.Eval([]*scenario.Spec{spec})
+		defer res.Close()
+		if err := res.Err(0); err != nil {
 			return err
 		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
+		_, err := stdout.Write(res.Doc(0))
+		return err
 	}
 	a, err := spec.Assess()
 	if err != nil {

@@ -36,8 +36,8 @@
 // every mutation appends to a checksummed segment, segments rotate past
 // -fleet-wal-segment-bytes, and every -fleet-compact-interval (and on
 // graceful shutdown) the log is compacted into a fresh snapshot. A
-// pre-segmentation single-file WAL at the -fleet-wal path is migrated
-// automatically. If the disk fails (ENOSPC, fsync errors) actd degrades
+// regular file at the -fleet-wal path fails to open: it must name a
+// directory. If the disk fails (ENOSPC, fsync errors) actd degrades
 // to read-only — /readyz turns 503, writes answer the `degraded` error
 // code — and heals itself once the compactor's probe succeeds.
 //

@@ -9,7 +9,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -235,29 +234,16 @@ func (c *Cluster) GatherPartials(ctx context.Context, topK int, groupBy string) 
 	answers := make(chan answer, len(c.peers))
 	for name, p := range c.peers {
 		go func(name string, p *peerClient) {
-			q := url.Values{}
-			if topK > 0 {
-				q.Set("top", strconv.Itoa(topK))
-			}
-			if groupBy != "" {
-				q.Set("by", groupBy)
-			}
-			res, err := p.get(ctx, PathPartial, q)
+			res, err := p.get(ctx, PathPartial, partialQuery(topK, groupBy))
 			if err != nil {
 				answers <- answer{peer: name, err: err}
 				return
 			}
-			if res.status != http.StatusOK {
-				answers <- answer{peer: name, err: fmt.Errorf("cluster: peer %s: partial answered %d: %s",
-					name, res.status, compactBody(res.body))}
-				return
+			part, err := decodePartial(res.status, res.body)
+			if err != nil {
+				err = fmt.Errorf("cluster: peer %s: %w", name, err)
 			}
-			var part Partial
-			if err := json.Unmarshal(res.body, &part); err != nil {
-				answers <- answer{peer: name, err: fmt.Errorf("cluster: peer %s: decoding partial: %w", name, err)}
-				return
-			}
-			answers <- answer{peer: name, p: part}
+			answers <- answer{peer: name, p: part, err: err}
 		}(name, p)
 	}
 	partials = append(partials, local)

@@ -16,6 +16,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -175,6 +177,89 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 }
 
 var summaryVariants = []string{"", "?top=5", "?by=region", "?by=node", "?by=class", "?top=3&by=region"}
+
+// variantQuery parses one summaryVariants entry into its fleet query.
+func variantQuery(t *testing.T, v string) fleet.Query {
+	t.Helper()
+	vals, err := url.ParseQuery(strings.TrimPrefix(v, "?"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := fleet.Query{GroupBy: vals.Get("by")}
+	if top := vals.Get("top"); top != "" {
+		if q.TopK, err = strconv.Atoi(top); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return q
+}
+
+// TestFoldOwnPartialMatchesQuery folds one registry's own partial and
+// compares the bytes with the registry's Query for every summary
+// variant. Three shards are emptied first: removals leave float residue
+// in a shard's totals, and the partial must carry it, because Query adds
+// every shard whether it holds devices or not.
+func TestFoldOwnPartialMatchesQuery(t *testing.T) {
+	reg := fleet.New(fleet.Config{Shards: 16})
+	if _, err := reg.IngestNDJSON(bytes.NewReader(fleetNDJSON(t, 200, 7)), 0); err != nil {
+		t.Fatal(err)
+	}
+	emptied := map[int]bool{}
+	for i := 0; len(emptied) < 3; i++ {
+		emptied[fleet.ShardIndex(fmt.Sprintf("dev-%05d", i), reg.ShardCount())] = true
+	}
+	for i := 0; i < 200; i++ {
+		id := fmt.Sprintf("dev-%05d", i)
+		if emptied[fleet.ShardIndex(id, reg.ShardCount())] {
+			if _, err := reg.Remove(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	residue := 0
+	for _, sa := range reg.ShardAggregates("") {
+		if emptied[sa.Index] {
+			if sa.Devices != 0 {
+				t.Fatalf("shard %d still holds %d devices", sa.Index, sa.Devices)
+			}
+			residue++
+		}
+	}
+	if residue == 0 {
+		t.Fatal("no emptied shard kept a float residue; the fixture no longer exercises it")
+	}
+
+	const self = "http://127.0.0.1:1"
+	c, err := cluster.New(cluster.Config{Self: self, Peers: []string{self}, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range summaryVariants {
+		q := variantQuery(t, v)
+		want, err := reg.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := c.LocalPartial(q.TopK, q.GroupBy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cluster.Fold(q, []cluster.Partial{p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gb, wb bytes.Buffer
+		if err := report.Encode(&gb, got); err != nil {
+			t.Fatal(err)
+		}
+		if err := report.Encode(&wb, want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+			t.Errorf("summary%s: fold of own partial diverges from Query\n got: %s\nwant: %s", v, gb.Bytes(), wb.Bytes())
+		}
+	}
+}
 
 // TestClusterSummaryByteIdentity is the heart of the PR: a 3-node
 // cluster ingests a scattered fleet and answers every summary variant —

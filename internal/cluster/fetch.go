@@ -34,15 +34,8 @@ func FetchPartials(ctx context.Context, hc *http.Client, bases []string, topK in
 		if err != nil {
 			return nil, err
 		}
-		q := url.Values{}
-		if topK > 0 {
-			q.Set("top", strconv.Itoa(topK))
-		}
-		if groupBy != "" {
-			q.Set("by", groupBy)
-		}
 		u := nb + PathPartial
-		if enc := q.Encode(); enc != "" {
+		if enc := partialQuery(topK, groupBy).Encode(); enc != "" {
 			u += "?" + enc
 		}
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
@@ -59,15 +52,37 @@ func FetchPartials(ctx context.Context, hc *http.Client, bases []string, topK in
 		if err != nil {
 			return nil, fmt.Errorf("cluster: fetch %s: %w", nb, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("cluster: fetch %s: status %d: %s", nb, resp.StatusCode, compactBody(body))
-		}
-		var p Partial
-		if err := json.Unmarshal(body, &p); err != nil {
-			return nil, fmt.Errorf("cluster: fetch %s: decoding partial: %w", nb, err)
+		p, err := decodePartial(resp.StatusCode, body)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: fetch %s: %w", nb, err)
 		}
 		partials = append(partials, p)
 	}
 	sort.Slice(partials, func(i, j int) bool { return partials[i].Node < partials[j].Node })
 	return partials, nil
+}
+
+// partialQuery is the query string of a partial request: top when the
+// fold merges top-K lists, by when it groups.
+func partialQuery(topK int, groupBy string) url.Values {
+	q := url.Values{}
+	if topK > 0 {
+		q.Set("top", strconv.Itoa(topK))
+	}
+	if groupBy != "" {
+		q.Set("by", groupBy)
+	}
+	return q
+}
+
+// decodePartial checks a partial answer's status and decodes its body.
+func decodePartial(status int, body []byte) (Partial, error) {
+	if status != http.StatusOK {
+		return Partial{}, fmt.Errorf("status %d: %s", status, compactBody(body))
+	}
+	var p Partial
+	if err := json.Unmarshal(body, &p); err != nil {
+		return Partial{}, fmt.Errorf("decoding partial: %w", err)
+	}
+	return p, nil
 }

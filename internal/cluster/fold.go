@@ -1,8 +1,8 @@
 // The scatter-gather fold: per-node partials in, the single-registry
 // summary document out, bit for bit. Partial carries the verbatim
-// running state of every shard a node owns; Fold re-runs the exact
-// single-node fold (aggregate.go) over the gathered shards in global
-// index order. Because each shard's floats are the shard's own running
+// running state of every shard a node owns; Fold runs the registry's own
+// fold (fleet.SummaryFold) over the gathered shards in global index
+// order. Because each shard's floats are the shard's own running
 // totals — not re-derived — and the fold visits them in the same order
 // the single registry would, the folded document is byte-identical to
 // what one registry holding the whole fleet serves.
@@ -12,7 +12,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"act/internal/faultinject"
 	"act/internal/fleet"
@@ -105,40 +104,15 @@ func Fold(q fleet.Query, partials []Partial) (report.FleetSummaryJSON, error) {
 		}
 	}
 
-	// The exact single-node fold, index order. Shards no node reported
+	// The registry's own fold, in index order. Shards no node reported
 	// (empty everywhere) contribute exact zeros, which skipping preserves.
-	var doc report.FleetSummaryJSON
-	groups := map[string]*foldGroup{}
+	var f fleet.SummaryFold
+	f.Start(q)
 	for _, o := range byIndex {
-		if o.agg == nil {
-			continue
-		}
-		sa := o.agg
-		doc.Devices += int(sa.Devices)
-		doc.EmbodiedTotalG += sa.EmbodiedG
-		doc.EmbodiedShareG += sa.EmbodiedShareG
-		doc.OperationalG += sa.OperationalG
-		if q.GroupBy != "" {
-			dim := sa.ByRegion
-			switch q.GroupBy {
-			case "node":
-				dim = sa.ByNode
-			case "class":
-				dim = sa.ByClass
-			}
-			for _, slot := range dim {
-				g, ok := groups[slot.Key]
-				if !ok {
-					g = &foldGroup{}
-					groups[slot.Key] = g
-				}
-				g.devices += slot.Devices
-				g.embodiedShareG += slot.EmbodiedShareG
-				g.operationalG += slot.OperationalG
-			}
+		if o.agg != nil {
+			f.AddShard(o.agg)
 		}
 	}
-	doc.TotalG = doc.EmbodiedShareG + doc.OperationalG
 
 	distinct := map[uint64]struct{}{}
 	for _, p := range partials {
@@ -146,57 +120,15 @@ func Fold(q fleet.Query, partials []Partial) (report.FleetSummaryJSON, error) {
 			distinct[h] = struct{}{}
 		}
 	}
-	doc.DistinctBoMs = len(distinct)
-
-	if q.GroupBy != "" {
-		doc.GroupBy = q.GroupBy
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		doc.Groups = make([]report.FleetGroupJSON, 0, len(keys))
-		for _, k := range keys {
-			g := groups[k]
-			doc.Groups = append(doc.Groups, report.FleetGroupJSON{
-				Key:            k,
-				Devices:        int(g.devices),
-				EmbodiedShareG: g.embodiedShareG,
-				OperationalG:   g.operationalG,
-				TotalG:         g.embodiedShareG + g.operationalG,
-			})
-		}
-	}
+	var top []report.FleetDeviceJSON
 	if q.TopK > 0 {
-		var merged []report.FleetDeviceJSON
-		for _, p := range partials {
-			merged = append(merged, p.Top...)
+		// Each node's list is its true local top K, so the merged and
+		// truncated list is the global top K.
+		tops := make([][]report.FleetDeviceJSON, len(partials))
+		for i := range partials {
+			tops[i] = partials[i].Top
 		}
-		sortEmitters(merged)
-		if len(merged) > q.TopK {
-			merged = merged[:q.TopK]
-		}
-		doc.Top = merged
+		top = fleet.MergeTop(q.TopK, tops...)
 	}
-	return doc, nil
-}
-
-// foldGroup accumulates one group-by key across shards, mirroring the
-// registry's groupAgg so int64 device counts fold identically.
-type foldGroup struct {
-	devices        int64
-	embodiedShareG float64
-	operationalG   float64
-}
-
-// sortEmitters orders devices by descending total, ties by ascending id
-// — the registry's own top-K order. Per-node lists are each the node's
-// true local top K, so the merged-and-truncated list is the global top K.
-func sortEmitters(devs []report.FleetDeviceJSON) {
-	sort.Slice(devs, func(i, j int) bool {
-		if devs[i].TotalG != devs[j].TotalG {
-			return devs[i].TotalG > devs[j].TotalG
-		}
-		return devs[i].ID < devs[j].ID
-	})
+	return f.Finish(len(distinct), top), nil
 }

@@ -32,10 +32,10 @@ func variants() []*scenario.Spec {
 				{Name: "cpu", AreaMM2: 400, Node: "14nm", Count: 2},
 				{Name: "nic", AreaMM2: 50, Node: "28nm"},
 			},
-			DRAM:    []scenario.DRAMSpec{{Name: "dimm", Technology: "10nm-ddr4", CapacityGB: 256}},
-			Storage: []scenario.StorageSpec{{Name: "hdd", Technology: "exosx16", CapacityGB: 14000}, {Name: "ssd", Technology: "nytro-1551", CapacityGB: 1920}},
-			ExtraICs: 40,
-			Usage:    scenario.UsageSpec{PowerW: 300, AppHours: 8766, PUE: 1.4},
+			DRAM:          []scenario.DRAMSpec{{Name: "dimm", Technology: "10nm-ddr4", CapacityGB: 256}},
+			Storage:       []scenario.StorageSpec{{Name: "hdd", Technology: "exosx16", CapacityGB: 14000}, {Name: "ssd", Technology: "nytro-1551", CapacityGB: 1920}},
+			ExtraICs:      40,
+			Usage:         scenario.UsageSpec{PowerW: 300, AppHours: 8766, PUE: 1.4},
 			LifetimeYears: 4,
 		},
 		{ // custom fab parameters
@@ -59,7 +59,7 @@ func variants() []*scenario.Spec {
 			EndOfLife: &scenario.EndOfLifeSpec{ProcessingKg: 0.1, RecyclingCreditKg: 5},
 		},
 		{ // hostile strings: HTML escapes, controls, invalid UTF-8, U+2028
-			Name: "a<b>&\"\\\n\t\x01\x80ü z",
+			Name:  "a<b>&\"\\\n\t\x01\x80ü z",
 			Logic: []scenario.LogicSpec{{Name: "die <&>  ", AreaMM2: 10, Node: "28nm"}},
 			Usage: scenario.UsageSpec{PowerW: 1, AppHours: 10},
 		},

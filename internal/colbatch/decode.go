@@ -379,7 +379,7 @@ func (b *batch) appendSpec(s *scenario.Spec, bomOnly bool) {
 }
 
 // scalarEmbodied is the fleet-shaped oracle: the BoM-only scalar path
-// (Device → Embodied → Total), matching fleet's embodiedOf.
+// (Device → Embodied → Total) that EmbodiedTotals falls back to.
 func scalarEmbodied(s *scenario.Spec) (float64, error) {
 	d, err := s.Device()
 	if err != nil {

@@ -53,7 +53,7 @@ func (f *downableFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.ServeHTTP(w, r)
 }
 
-func (f *downableFront) setDown(d bool) { f.mu.Lock(); f.down = d; f.mu.Unlock() }
+func (f *downableFront) setDown(d bool)      { f.mu.Lock(); f.down = d; f.mu.Unlock() }
 func (f *downableFront) swap(h http.Handler) { f.mu.Lock(); f.h = h; f.mu.Unlock() }
 
 // clusterRefold deploys the corpus fleet onto an in-process cluster and

@@ -2,7 +2,9 @@
 // totals in shard order — O(shards) work however many devices are
 // registered — and group-by merges the per-shard group maps the same way.
 // Top-K is the one O(devices) query: it fans the per-shard scans out
-// through parsweep and merges the per-shard winners.
+// through parsweep and merges the per-shard winners. The fold
+// (SummaryFold) and the top-K merge (MergeTop) are exported because the
+// cluster's scatter-gather runs them too, over gathered shard aggregates.
 
 package fleet
 
@@ -51,48 +53,108 @@ func (r *Registry) Query(q Query) (report.FleetSummaryJSON, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	var doc report.FleetSummaryJSON
-	groups := map[string]*groupAgg{}
+	var f SummaryFold
+	f.Start(q)
 	for _, sh := range r.shards {
 		sh.mu.Lock()
-		doc.Devices += int(sh.agg.devices)
-		doc.EmbodiedTotalG += sh.agg.embodiedG
-		doc.EmbodiedShareG += sh.agg.embodiedShareG
-		doc.OperationalG += sh.agg.operationalG
-		if q.GroupBy != "" {
-			dim := sh.byRegion
-			switch q.GroupBy {
-			case "node":
-				dim = sh.byNode
-			case "class":
-				dim = sh.byClass
-			}
-			for key, g := range dim {
-				m, ok := groups[key]
-				if !ok {
-					m = &groupAgg{}
-					groups[key] = m
-				}
-				m.devices += g.devices
-				m.embodiedShareG += g.embodiedShareG
-				m.operationalG += g.operationalG
-			}
-		}
+		f.addShard(sh)
 		sh.mu.Unlock()
 	}
-	doc.TotalG = doc.EmbodiedShareG + doc.OperationalG
-	doc.DistinctBoMs = r.evals.len()
+	var top []report.FleetDeviceJSON
+	if q.TopK > 0 {
+		top = r.topK(q.TopK)
+	}
+	return f.Finish(r.evals.len(), top), nil
+}
 
+// SummaryFold is the one summary fold, shared by Registry.Query and the
+// cluster's scatter-gather fold: Start it, add every shard's running
+// totals in ascending shard-index order, then Finish. Float addition is
+// not associative, so the visiting order is part of the answer — any two
+// callers that add the same shards in the same order produce the same
+// bytes.
+type SummaryFold struct {
+	doc report.FleetSummaryJSON
+	// groups merges the query's group dimension per key; nil when the
+	// query does not group.
+	groups map[string]*groupAgg
+}
+
+// Start resets the fold for q.
+func (f *SummaryFold) Start(q Query) {
+	*f = SummaryFold{}
 	if q.GroupBy != "" {
-		doc.GroupBy = q.GroupBy
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
+		f.doc.GroupBy = q.GroupBy
+		f.groups = map[string]*groupAgg{}
+	}
+}
+
+// addShard folds in one live shard straight from its running totals and
+// group map. The caller holds sh.mu.
+func (f *SummaryFold) addShard(sh *shard) {
+	f.addTotals(sh.agg)
+	if f.groups == nil {
+		return
+	}
+	for key, g := range sh.dim(f.doc.GroupBy) {
+		f.addGroup(key, *g)
+	}
+}
+
+// AddShard folds in one exported shard aggregate: its totals and the
+// slots of the dimension the fold groups by.
+func (f *SummaryFold) AddShard(sa *ShardAggregate) {
+	f.addTotals(aggregate{
+		devices:        sa.Devices,
+		embodiedG:      sa.EmbodiedG,
+		embodiedShareG: sa.EmbodiedShareG,
+		operationalG:   sa.OperationalG,
+	})
+	if f.groups == nil {
+		return
+	}
+	for _, slot := range *sa.dim(f.doc.GroupBy) {
+		f.addGroup(slot.Key, groupAgg{
+			devices:        slot.Devices,
+			embodiedShareG: slot.EmbodiedShareG,
+			operationalG:   slot.OperationalG,
+		})
+	}
+}
+
+func (f *SummaryFold) addTotals(a aggregate) {
+	f.doc.Devices += int(a.devices)
+	f.doc.EmbodiedTotalG += a.embodiedG
+	f.doc.EmbodiedShareG += a.embodiedShareG
+	f.doc.OperationalG += a.operationalG
+}
+
+func (f *SummaryFold) addGroup(key string, g groupAgg) {
+	m, ok := f.groups[key]
+	if !ok {
+		m = &groupAgg{}
+		f.groups[key] = m
+	}
+	m.devices += g.devices
+	m.embodiedShareG += g.embodiedShareG
+	m.operationalG += g.operationalG
+}
+
+// Finish completes the document: the grand total, the distinct-BoM count,
+// the group rows sorted by key, and the top-K list (nil omits it).
+func (f *SummaryFold) Finish(distinctBoMs int, top []report.FleetDeviceJSON) report.FleetSummaryJSON {
+	doc := f.doc
+	doc.TotalG = doc.EmbodiedShareG + doc.OperationalG
+	doc.DistinctBoMs = distinctBoMs
+	if f.groups != nil {
+		keys := make([]string, 0, len(f.groups))
+		for k := range f.groups {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		doc.Groups = make([]report.FleetGroupJSON, 0, len(keys))
 		for _, k := range keys {
-			g := groups[k]
+			g := f.groups[k]
 			doc.Groups = append(doc.Groups, report.FleetGroupJSON{
 				Key:            k,
 				Devices:        int(g.devices),
@@ -102,15 +164,13 @@ func (r *Registry) Query(q Query) (report.FleetSummaryJSON, error) {
 			})
 		}
 	}
-	if q.TopK > 0 {
-		doc.Top = r.topK(q.TopK)
-	}
-	return doc, nil
+	doc.Top = top
+	return doc
 }
 
 // topK returns the K largest emitters (per-device total grams, ties broken
 // by id so the answer is deterministic). Each shard scans its own records
-// on a parsweep worker; the merge keeps the best K. The caller read-holds
+// on a parsweep worker; MergeTop keeps the best K. The caller read-holds
 // r.mu.
 func (r *Registry) topK(k int) []report.FleetDeviceJSON {
 	perShard := parsweep.Map(r.cfg.Workers, r.shards, func(_ int, sh *shard) []report.FleetDeviceJSON {
@@ -129,20 +189,26 @@ func (r *Registry) topK(k int) []report.FleetDeviceJSON {
 		}
 		sh.mu.Unlock()
 		sortEmitters(local)
-		if len(local) > k {
-			local = local[:k]
-		}
-		return local
+		return local[:min(k, len(local))]
 	})
-	merged := make([]report.FleetDeviceJSON, 0, k*2)
-	for _, s := range perShard {
-		merged = append(merged, s...)
+	return MergeTop(k, perShard...)
+}
+
+// MergeTop merges emitter lists into the K largest, ordered by descending
+// total with ties broken by ascending id. When every list is its source's
+// own top K, the result is the top K of the union — which is how
+// per-shard and per-node lists merge into the fleet's.
+func MergeTop(k int, lists ...[]report.FleetDeviceJSON) []report.FleetDeviceJSON {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	merged := make([]report.FleetDeviceJSON, 0, n)
+	for _, l := range lists {
+		merged = append(merged, l...)
 	}
 	sortEmitters(merged)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
+	return merged[:min(k, len(merged))]
 }
 
 // sortEmitters orders devices by descending total, ties by ascending id.

@@ -26,14 +26,13 @@ package fleet
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"act/internal/acterr"
-	"act/internal/core"
+	"act/internal/colbatch"
 	"act/internal/fab"
 	"act/internal/faultinject"
 	"act/internal/intensity"
@@ -178,6 +177,20 @@ func (sh *shard) applyLocked(rec *record, sign float64) {
 	applyGroup(sh.byClass, rec.class, rec.contrib, sign)
 }
 
+// dim returns the group-by dimension a query names — "region", "node" or
+// "class" — or nil for "". The caller holds sh.mu.
+func (sh *shard) dim(groupBy string) map[string]*groupAgg {
+	switch groupBy {
+	case "region":
+		return sh.byRegion
+	case "node":
+		return sh.byNode
+	case "class":
+		return sh.byClass
+	}
+	return nil
+}
+
 func applyGroup(dim map[string]*groupAgg, key string, c contribution, sign float64) {
 	g, ok := dim[key]
 	if !ok {
@@ -270,7 +283,7 @@ func (c Config) withDefaults() Config {
 type Registry struct {
 	// mu is the structural lock: read-held by per-device operations and
 	// queries (which then take shard locks), write-held by whole-registry
-	// operations (snapshot, restore, recompute, log attach/rotate).
+	// operations (snapshot, restore, recompute, WAL attach, checkpoint).
 	mu     sync.RWMutex
 	cfg    Config
 	shards []*shard
@@ -280,7 +293,7 @@ type Registry struct {
 	// install). A staged recompute remembers the generation it priced and
 	// restages at commit if mutations landed in between.
 	gen atomic.Uint64
-	log WALAppender // nil until AttachLog/AttachWAL
+	log *segWAL // nil until a Store attaches its WAL
 }
 
 // New builds an empty registry.
@@ -299,9 +312,7 @@ func (r *Registry) Len() int { return int(r.count.Load()) }
 
 // shardFor picks the shard owning an id.
 func (r *Registry) shardFor(id string) *shard {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return r.shards[h.Sum64()%uint64(len(r.shards))]
+	return r.shards[ShardIndex(id, len(r.shards))]
 }
 
 // Upsert registers dev, replacing any device with the same ID, and folds
@@ -527,17 +538,13 @@ func (c *evalCache) reset(entries map[string]*evalEntry) {
 	c.mu.Unlock()
 }
 
-// embodiedOf evaluates the BoM's full embodied footprint (ECF).
+// embodiedOf evaluates the BoM's full embodied footprint (ECF) through
+// the same columnar pricing Recompute uses, so ingest and recompute can
+// never price one BoM two ways.
 func embodiedOf(spec *scenario.Spec) (float64, error) {
-	d, err := spec.Device()
-	if err != nil {
-		return 0, err
-	}
-	br, err := core.Embodied(d)
-	if err != nil {
-		return 0, err
-	}
-	return br.Total().Grams(), nil
+	var out [1]float64
+	err := colbatch.EmbodiedTotals([]*scenario.Spec{spec}, out[:])
+	return out[0], err
 }
 
 // dateFormat is the wire date form (RFC 3339 is also accepted on input).

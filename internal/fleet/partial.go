@@ -33,14 +33,28 @@ type GroupSlot struct {
 type ShardAggregate struct {
 	// Index is the global shard index (FNV-64a of the device id mod the
 	// registry's shard count).
-	Index          int     `json:"index"`
-	Devices        int64   `json:"devices"`
-	EmbodiedG      float64 `json:"embodied_g"`
-	EmbodiedShareG float64 `json:"embodied_share_g"`
-	OperationalG   float64 `json:"operational_g"`
+	Index          int         `json:"index"`
+	Devices        int64       `json:"devices"`
+	EmbodiedG      float64     `json:"embodied_g"`
+	EmbodiedShareG float64     `json:"embodied_share_g"`
+	OperationalG   float64     `json:"operational_g"`
 	ByRegion       []GroupSlot `json:"by_region,omitempty"`
 	ByNode         []GroupSlot `json:"by_node,omitempty"`
 	ByClass        []GroupSlot `json:"by_class,omitempty"`
+}
+
+// dim returns the slot list of the group-by dimension a query names —
+// "region", "node" or "class" — or nil for "".
+func (sa *ShardAggregate) dim(groupBy string) *[]GroupSlot {
+	switch groupBy {
+	case "region":
+		return &sa.ByRegion
+	case "node":
+		return &sa.ByNode
+	case "class":
+		return &sa.ByClass
+	}
+	return nil
 }
 
 // ShardCount returns the registry's shard count. Every member of a
@@ -80,13 +94,8 @@ func (r *Registry) ShardAggregates(groupBy string) []ShardAggregate {
 			EmbodiedShareG: sh.agg.embodiedShareG,
 			OperationalG:   sh.agg.operationalG,
 		}
-		switch groupBy {
-		case "region":
-			sa.ByRegion = groupSlots(sh.byRegion)
-		case "node":
-			sa.ByNode = groupSlots(sh.byNode)
-		case "class":
-			sa.ByClass = groupSlots(sh.byClass)
+		if slots := sa.dim(groupBy); slots != nil {
+			*slots = groupSlots(sh.dim(groupBy))
 		}
 		out = append(out, sa)
 		sh.mu.Unlock()
@@ -133,10 +142,10 @@ func (r *Registry) BoMKeyHashes() []uint64 {
 }
 
 // ShardIndex computes the global shard index a device id folds into for
-// a registry of `shards` lock domains — the same FNV-64a pick shardFor
-// uses. The cluster places devices by consistent-hashing this index, so
-// the routing layer and the registry can never disagree about which
-// shard a device lives in.
+// a registry of `shards` lock domains: FNV-64a of the id, mod shards.
+// The registry places devices with it (shardFor) and the cluster routes
+// by consistent-hashing it, so the routing layer and the registry can
+// never disagree about which shard a device lives in.
 func ShardIndex(id string, shards int) int {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(id))

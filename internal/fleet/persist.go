@@ -130,7 +130,7 @@ func OpenStore(ctx context.Context, reg *Registry, cfg StoreConfig) (*Store, err
 		return nil, err
 	}
 	s.w = w
-	reg.AttachWAL(w)
+	reg.attachWAL(w)
 	return s, nil
 }
 
@@ -449,6 +449,6 @@ func (s *Store) Registry() *Registry { return s.reg }
 // stays queryable; further mutations are no longer logged, so callers
 // stop writing first.
 func (s *Store) Close() error {
-	s.reg.AttachWAL(nil)
+	s.reg.attachWAL(nil)
 	return s.w.Close()
 }

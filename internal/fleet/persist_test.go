@@ -195,98 +195,6 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	})
 }
 
-// walScript drives a registry through a mixed history — creates, replaces,
-// removes — while every operation logs to w.
-func walScript(t *testing.T, reg *Registry) {
-	t.Helper()
-	regions := []string{"united-states", "europe", "india"}
-	for i := 0; i < 30; i++ {
-		dev := testDevice(fmt.Sprintf("dev-%02d", i), i%5, regions[i%3])
-		dev.Utilization = 0.5
-		if _, err := reg.Upsert(dev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 10; i += 2 { // replace a few with a different BoM
-		if _, err := reg.Upsert(testDevice(fmt.Sprintf("dev-%02d", i), 7, "world")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 20; i < 25; i++ {
-		if _, err := reg.Remove(fmt.Sprintf("dev-%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestWALReplay(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 8})
-	reg.AttachLog(&log)
-	walScript(t, reg)
-
-	reg2 := New(Config{Shards: 8})
-	applied, offset, err := reg2.Replay(context.Background(), bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 30+5+5 {
-		t.Fatalf("replayed %d operations, want 40", applied)
-	}
-	if offset != int64(log.Len()) {
-		t.Fatalf("consumed offset %d, want the full log %d", offset, log.Len())
-	}
-	if a, b := summaryBytes(t, reg), summaryBytes(t, reg2); !bytes.Equal(a, b) {
-		t.Fatalf("replayed summary differs:\n%s\nwant:\n%s", b, a)
-	}
-}
-
-func TestWALTornTail(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
-	if _, err := reg.Upsert(testDevice("a", 0, "united-states")); err != nil {
-		t.Fatal(err)
-	}
-	good := log.Len()
-	if _, err := reg.Upsert(testDevice("b", 1, "europe")); err != nil {
-		t.Fatal(err)
-	}
-	// Crash mid-append: the second frame is cut in half.
-	torn := log.Bytes()[:good+(log.Len()-good)/2]
-
-	reg2 := New(Config{Shards: 4})
-	applied, offset, err := reg2.Replay(context.Background(), bytes.NewReader(torn))
-	if err != nil {
-		t.Fatalf("torn tail must be tolerated, got %v", err)
-	}
-	if applied != 1 || offset != int64(good) {
-		t.Fatalf("applied=%d offset=%d, want 1 and %d (the last complete frame)", applied, offset, good)
-	}
-	if reg2.Len() != 1 {
-		t.Fatalf("Len after torn replay = %d, want 1", reg2.Len())
-	}
-}
-
-func TestWALRejectsMidStreamCorruption(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
-	if _, err := reg.Upsert(testDevice("a", 0, "united-states")); err != nil {
-		t.Fatal(err)
-	}
-	first := log.Len()
-	if _, err := reg.Upsert(testDevice("b", 1, "europe")); err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Clone(log.Bytes())
-	bad[first/2] ^= 0x01 // inside the first frame: corruption, not a torn tail
-
-	if _, _, err := New(Config{Shards: 4}).Replay(context.Background(), bytes.NewReader(bad)); err == nil {
-		t.Fatal("corrupted frame replayed")
-	}
-}
-
 // TestRecomputeEquivalence: recomputation refolds each shard in sorted id
 // order, so its totals are byte-identical to a registry built by upserting
 // the same devices in sorted order.
@@ -347,66 +255,5 @@ func TestRecomputeFailureLeavesStateIntact(t *testing.T) {
 	fail = false
 	if after := summaryBytes(t, reg); !bytes.Equal(before, after) {
 		t.Fatalf("failed recompute changed state:\n%s\nwant:\n%s", after, before)
-	}
-}
-
-// TestWALRecomputeMarker: a logged recompute replays as a recompute, so a
-// log written after a model-table change reproduces the repriced state.
-func TestWALRecomputeMarker(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
-	for i := 0; i < 10; i++ {
-		if _, err := reg.Upsert(testDevice(fmt.Sprintf("dev-%d", i), i%3, "europe")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := reg.Recompute(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2 := New(Config{Shards: 4})
-	applied, _, err := reg2.Replay(context.Background(), bytes.NewReader(log.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 11 {
-		t.Fatalf("replayed %d operations, want 11 (10 upserts + recompute)", applied)
-	}
-	if a, b := summaryBytes(t, reg), summaryBytes(t, reg2); !bytes.Equal(a, b) {
-		t.Fatalf("replayed summary differs:\n%s\nwant:\n%s", b, a)
-	}
-}
-
-// TestCheckpoint: Checkpoint writes the snapshot and resets the log under
-// one lock, so snapshot + emptied log together reproduce the state.
-func TestCheckpoint(t *testing.T) {
-	var log bytes.Buffer
-	reg := New(Config{Shards: 4})
-	reg.AttachLog(&log)
-	walScript(t, reg)
-
-	var snap bytes.Buffer
-	if err := reg.Checkpoint(&snap, func() error { log.Reset(); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if log.Len() != 0 {
-		t.Fatalf("log not reset: %d bytes remain", log.Len())
-	}
-
-	// Post-checkpoint mutations land only in the fresh log.
-	if _, err := reg.Upsert(testDevice("late", 9, "india")); err != nil {
-		t.Fatal(err)
-	}
-
-	reg2 := New(Config{Shards: 4})
-	if _, err := reg2.Restore(bytes.NewReader(snap.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := reg2.Replay(context.Background(), bytes.NewReader(log.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := summaryBytes(t, reg), summaryBytes(t, reg2); !bytes.Equal(a, b) {
-		t.Fatalf("snapshot+log summary differs:\n%s\nwant:\n%s", b, a)
 	}
 }

@@ -248,24 +248,6 @@ func decodeGroups(d *reader) (map[string]*groupAgg, error) {
 	return out, nil
 }
 
-// Checkpoint snapshots to w and then, still under the registry lock, runs
-// reset — the hook the serving layer uses to truncate the write-ahead log
-// atomically with the snapshot that supersedes it. No operation can slip
-// between the two.
-func (r *Registry) Checkpoint(w io.Writer, reset func() error) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.snapshotLocked(w); err != nil {
-		return err
-	}
-	if reset != nil {
-		if err := reset(); err != nil {
-			return fmt.Errorf("fleet: checkpoint reset: %w", err)
-		}
-	}
-	return nil
-}
-
 // CheckpointFunc runs fn with the registry write-locked, handing it a
 // snapshot function bound to that lock. The segmented store (persist.go)
 // uses it to order an entire compaction — rotate the WAL, stream the

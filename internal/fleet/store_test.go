@@ -126,6 +126,50 @@ func TestStoreRotationAndCheckpoint(t *testing.T) {
 	}
 }
 
+// TestWALRecomputeMarker: a logged recompute replays as a recompute, so
+// a WAL written across a pricing change reproduces the repriced state.
+// The devices are ingested under one grid intensity and repriced under
+// another; upsert frames carry the old contributions verbatim, so only a
+// replayed recompute frame can bring the reopened registry to the live
+// one's totals.
+func TestWALRecomputeMarker(t *testing.T) {
+	m := vfs.NewMemFS()
+	ci := units.GramsPerKWh(300)
+	resolver := func(string) (units.CarbonIntensity, error) { return ci, nil }
+	open := func() (*Registry, *Store) {
+		reg := New(Config{Shards: 4, Resolver: resolver})
+		st, err := OpenStore(context.Background(), reg, StoreConfig{
+			FS: m, SnapshotPath: testSnapPath, WALDir: testWALDir, Logf: t.Logf,
+		})
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		return reg, st
+	}
+
+	reg, _ := open()
+	for i := 0; i < 10; i++ {
+		if _, err := reg.Upsert(testDevice(fmt.Sprintf("dev-%d", i), i%3, "europe")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ingested := summaryBytes(t, reg)
+	ci = units.GramsPerKWh(700)
+	if err := reg.Recompute(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := summaryBytes(t, reg)
+	if bytes.Equal(want, ingested) {
+		t.Fatal("recompute under a new intensity left the summary unchanged")
+	}
+
+	m.Crash()
+	reg2, _ := open()
+	if got := summaryBytes(t, reg2); !bytes.Equal(got, want) {
+		t.Fatalf("reopened summary differs from the live one:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // setSnapshotFlags rewrites the snapshot envelope's flags byte and its
 // header checksum, durably.
 func setSnapshotFlags(t *testing.T, m *vfs.MemFS, flags byte) {

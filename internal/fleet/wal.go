@@ -1,7 +1,7 @@
-// Append-only write-ahead log. Every mutation is framed and appended
-// before the shard's in-memory state changes, so a crash between a
-// snapshot and now loses nothing: boot restores the snapshot, then
-// replays the log's tail.
+// Write-ahead log frames. Every mutation is framed and appended to the
+// segmented WAL (walseg.go) before the shard's in-memory state changes,
+// so a crash between a snapshot and now loses nothing: recovery restores
+// the snapshot, then replays the segments (persist.go).
 //
 // Frame layout (little-endian, see codec.go):
 //
@@ -17,14 +17,13 @@
 //	              this point in the history
 //
 // Appends happen under the owning shard's lock (fleet.go), which fixes
-// the relative order of operations on any one device; the log writer's
-// own mutex serializes frames from different shards.
+// the relative order of operations on any one device; segWAL.mu
+// serializes frames from different shards.
 //
-// Replay tolerates a torn tail — a frame cut short by a crash mid-append.
-// It applies every complete, checksummed frame and reports the byte
-// offset after the last good one so the caller can truncate the file
-// there before appending again. A frame that is complete but fails its
-// checksum is corruption, not a torn tail, and is an error.
+// A frame cut short by a crash mid-append is a torn tail: segment replay
+// stops before it and recovery truncates it away. A frame that is
+// complete but fails its checksum is corruption, not a torn tail, and
+// quarantines its segment.
 
 package fleet
 
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sync"
 )
 
 const (
@@ -47,15 +45,6 @@ const (
 	// applyFrame — segment replay consumes it as the end-of-segment marker.
 	opSeal = 4
 )
-
-// WALAppender is the write-ahead sink a Registry logs mutations to: the
-// in-process buffer writer below, or the segmented on-disk WAL
-// (walseg.go). Append must be atomic — a frame is either fully
-// acknowledged or reported failed with the log positioned to accept the
-// next frame — and safe for concurrent use.
-type WALAppender interface {
-	Append(payload []byte) error
-}
 
 // errCorruptFrame classifies a frame that is structurally complete but
 // wrong — checksum mismatch, implausible length, empty payload. Distinct
@@ -77,24 +66,6 @@ func frameBytes(payload []byte) []byte {
 	return frame
 }
 
-// walWriter serializes frame appends to the underlying writer.
-type walWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// Append frames the payload and writes it in one Write call, so a torn
-// tail can only come from the storage layer, not from interleaving.
-func (l *walWriter) Append(payload []byte) error {
-	frame := frameBytes(payload)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, err := l.w.Write(frame); err != nil {
-		return fmt.Errorf("fleet: wal append: %w", err)
-	}
-	return nil
-}
-
 func encodeUpsert(rec *record) []byte {
 	b := []byte{opUpsert}
 	return encodeRecord(b, rec)
@@ -105,49 +76,12 @@ func encodeRemove(id string) []byte {
 	return appendString(b, id)
 }
 
-// AttachLog starts logging every subsequent mutation to w. Attach after
-// Restore and Replay — the log should record only operations newer than
-// the state already loaded. Passing nil detaches.
-func (r *Registry) AttachLog(w io.Writer) {
-	if w == nil {
-		r.AttachWAL(nil)
-		return
-	}
-	r.AttachWAL(&walWriter{w: w})
-}
-
-// AttachWAL starts logging every subsequent mutation to a. Like
-// AttachLog, attach only after the state a recovery loaded is complete.
-// Passing nil detaches.
-func (r *Registry) AttachWAL(a WALAppender) {
+// attachWAL starts logging every subsequent mutation to w. Attach only
+// after the state a recovery loaded is complete. Passing nil detaches.
+func (r *Registry) attachWAL(w *segWAL) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.log = a
-}
-
-// Replay applies a write-ahead log to the registry. It returns the number
-// of operations applied and the byte offset just past the last complete
-// frame: a torn final frame (crash mid-append) is tolerated and excluded
-// from offset, so the caller truncates the file to offset before
-// re-attaching an appender. Mid-stream corruption — a complete frame
-// whose checksum does not match — is an error.
-func (r *Registry) Replay(ctx context.Context, rd io.Reader) (applied int, offset int64, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		payload, frameLen, err := readFrame(rd)
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return applied, offset, nil // torn or clean tail: stop here
-			}
-			return applied, offset, fmt.Errorf("fleet: wal replay at offset %d: %w", offset, err)
-		}
-		if err := r.applyFrame(ctx, payload); err != nil {
-			return applied, offset, fmt.Errorf("fleet: wal replay at offset %d: %w", offset, err)
-		}
-		applied++
-		offset += frameLen
-	}
+	r.log = w
 }
 
 // readFrame reads one complete frame and verifies its checksum. io.EOF at

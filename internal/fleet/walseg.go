@@ -116,8 +116,10 @@ func sealPayload(frames, roll uint64) []byte {
 	return b
 }
 
-// segWAL is the segmented log writer. It implements WALAppender; a
-// Registry attaches it like any other log sink.
+// segWAL is the segmented log writer, the one sink a Registry logs
+// mutations to. Append is atomic — a frame is either fully acknowledged
+// or reported failed with the log positioned to accept the next frame —
+// and safe for concurrent use.
 type segWAL struct {
 	mu    sync.Mutex
 	fs    vfs.FS

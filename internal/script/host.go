@@ -10,7 +10,6 @@ import (
 	"act/internal/acterr"
 	"act/internal/colbatch"
 	"act/internal/metrics"
-	"act/internal/report"
 	"act/internal/scenario"
 	"act/internal/units"
 )
@@ -146,18 +145,17 @@ func decodeOrderedFrom(dec *json.Decoder, tok json.Token, depth int) (Value, err
 	}
 }
 
-// evalSpecDoc runs one scenario through the model and returns the
-// canonical result document — the same bytes every other surface emits.
+// evalSpecDoc runs one scenario through the columnar engine as a batch of
+// one and returns the canonical result document — the same bytes every
+// other surface emits. The document is copied out of the batch's pooled
+// arena before the batch is released.
 func evalSpecDoc(spec *scenario.Spec) ([]byte, error) {
-	res, err := spec.Result()
-	if err != nil {
+	res := colbatch.Eval([]*scenario.Spec{spec})
+	defer res.Close()
+	if err := res.Err(0); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := report.Encode(&buf, res); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return bytes.Clone(res.Doc(0)), nil
 }
 
 // hostFootprint is footprint(spec-map) → result map, or

@@ -163,7 +163,7 @@ type parser struct {
 	noMap bool
 }
 
-func (p *parser) peek() token    { return p.toks[p.i] }
+func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) peekAt(n int) token {
 	if p.i+n >= len(p.toks) {
 		return p.toks[len(p.toks)-1]

@@ -191,8 +191,8 @@ type FleetDurability struct {
 	// SnapshotPath is the checkpoint file ("" with WALDir also "" =
 	// in-memory fleet).
 	SnapshotPath string
-	// WALDir is the segment directory. A pre-segmentation single-file WAL
-	// at this path is migrated into it on first boot.
+	// WALDir is the segment directory. A regular file at this path fails
+	// to open.
 	WALDir string
 	// SegmentBytes rotates the active segment past this size (0 = the
 	// store default).

@@ -162,8 +162,8 @@ type Server struct {
 	reqIDs   *reqIDSource
 
 	fleet      *fleet.Registry
-	fleetStore atomic.Pointer[fleet.Store] // nil until OpenFleet attaches durability
-	compactor  *fleetCompactor             // nil unless OpenFleet started one
+	fleetStore atomic.Pointer[fleet.Store]     // nil until OpenFleet attaches durability
+	compactor  *fleetCompactor                 // nil unless OpenFleet started one
 	cluster    atomic.Pointer[cluster.Cluster] // nil until EnableCluster
 
 	mRequests     *CounterVec // actd_requests_total{handler,code}

@@ -280,6 +280,8 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
+// Stat reports a name's size and kind. It is not part of FS: the
+// persistence layer never stats, tests use it to inspect the disk.
 func (m *MemFS) Stat(name string) (Info, error) {
 	name = path.Clean(name)
 	m.mu.Lock()

@@ -76,14 +76,6 @@ func (OS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-func (OS) Stat(name string) (Info, error) {
-	fi, err := os.Stat(name)
-	if err != nil {
-		return Info{}, err
-	}
-	return Info{Size: fi.Size(), IsDir: fi.IsDir()}, nil
-}
-
 // SyncDir fsyncs the directory itself, making its entries — creates,
 // renames, removes — durable. Same chaos site as file syncs: to the
 // caller a failed barrier is a failed barrier.

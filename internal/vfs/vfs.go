@@ -50,7 +50,8 @@ type File interface {
 	Name() string
 }
 
-// Info is the subset of a stat the persistence layer consults.
+// Info is what MemFS.Stat reports about a name: the test-side inspector
+// of a simulated disk. The persistence layer itself never stats.
 type Info struct {
 	Size  int64
 	IsDir bool
@@ -73,8 +74,6 @@ type FS interface {
 	Remove(name string) error
 	// ReadDir lists the file names (not paths) in dir, sorted.
 	ReadDir(dir string) ([]string, error)
-	// Stat reports size and kind.
-	Stat(name string) (Info, error)
 	// MkdirAll creates dir and any missing parents.
 	MkdirAll(dir string) error
 	// SyncDir flushes dir's entries — creates, renames and removes since
