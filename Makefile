@@ -74,7 +74,9 @@ cover:
 # actd (now with /v1/script traffic and the script.eval site) and the
 # fleet shard/snapshot chaos suite — under the race detector, then give
 # each fuzzer a short budget beyond its committed seed corpus: the fleet
-# ingest stream, both wire-envelope fuzzers, and the script interpreter's
+# ingest stream, both wire-envelope fuzzers, the three fast-decoder
+# differentials (single scenario, batch, fleet device line) that hold the
+# hand-written decoder to encoding/json, and the script interpreter's
 # parse/eval pair (the eval fuzzer runs whole adversarial programs under
 # tight budgets and must terminate without panics or hangs).
 verify-chaos:
@@ -85,6 +87,8 @@ verify-chaos:
 	$(GO) test -run FuzzWALSegmentReplay -fuzz FuzzWALSegmentReplay -fuzztime 10s ./internal/fleet/
 	$(GO) test -run FuzzScenarioUnmarshal -fuzz FuzzScenarioUnmarshal -fuzztime 10s ./internal/scenario/
 	$(GO) test -run FuzzCanonicalKey -fuzz FuzzCanonicalKey -fuzztime 10s ./internal/scenario/
+	$(GO) test -run FuzzParseRequestBatch -fuzz FuzzParseRequestBatch -fuzztime 10s ./internal/scenario/
+	$(GO) test -run FuzzParseDevice -fuzz FuzzParseDevice -fuzztime 10s ./internal/fleet/
 	$(GO) test -run FuzzScriptParse -fuzz FuzzScriptParse -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 

@@ -70,4 +70,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run("", "pdf", false, bytes.NewReader(spec), &out); err == nil {
 		t.Error("unknown format: expected error")
 	}
+	// Bytes after the scenario are refused by act and act batch alike,
+	// with the text actd answers.
+	trailing := append(spec, " trailing junk"...)
+	const want = "scenario: invalid character 't' after top-level value"
+	if err := run("", "json", false, bytes.NewReader(trailing), &out); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("act, trailing data: error %v, want %q", err, want)
+	}
+	if err := runBatch(nil, bytes.NewReader(trailing), &out); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("act batch, trailing data: error %v, want %q", err, want)
+	}
 }

@@ -105,6 +105,9 @@ func WireMutants() []WireMutant {
 		{"scalar-body", "", []byte(`42`)},
 		{"empty-body", "", []byte(``)},
 		{"empty-batch", "", []byte(`[]`)},
+		// Anything but whitespace after a single object is refused, as it
+		// is after a batch array.
+		{"trailing-data", "", []byte(`{"name": "x", "logic": [{"name": "soc", "area_mm2": 100, "node": "7nm"}], "usage": {"power_w": 5, "app_hours": 100}} trailing junk`)},
 		// A batch whose second element parses but fails evaluation: the
 		// error must be re-rooted under the element index.
 		{"batch-bad-element", "[1]", []byte(`[{"name": "ok", "logic": [{"name": "soc", "area_mm2": 100, "node": "7nm"}], "usage": {"power_w": 5, "app_hours": 100}}, {"name": "broken"}]`)},

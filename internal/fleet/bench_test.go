@@ -11,7 +11,7 @@ import (
 )
 
 // benchLines pre-renders NDJSON device lines over `distinct` BoM shapes.
-func benchLines(b *testing.B, n, distinct int) [][]byte {
+func benchLines(b testing.TB, n, distinct int) [][]byte {
 	b.Helper()
 	regions := []string{"united-states", "europe", "india", "world"}
 	specs := make([][]byte, distinct)
@@ -43,6 +43,24 @@ func BenchmarkFleetIngest(b *testing.B) {
 		if _, err := reg.IngestNDJSON(bytes.NewReader(lines[i%len(lines)]), 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var deviceSink *Device
+
+// BenchmarkParseDevice decodes and validates one NDJSON device line, its
+// embedded scenario included: the per-record cost of ingest before the
+// registry is touched.
+func BenchmarkParseDevice(b *testing.B) {
+	lines := benchLines(b, 1024, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev, err := ParseDevice(lines[i%len(lines)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		deviceSink = dev
 	}
 }
 

@@ -38,7 +38,12 @@ type DeviceSpec struct {
 
 // ParseDevice decodes and validates one wire-form device. Failures are
 // typed acterr.InvalidSpecError values carrying the offending field path.
+// A line in the scenario package's fast subset is decoded in one pass,
+// embedded scenario included; any other goes through encoding/json.
 func ParseDevice(data []byte) (*Device, error) {
+	if ds, spec, specErr, ok := fastDevice(data); ok {
+		return ds.device(spec, specErr)
+	}
 	var ds DeviceSpec
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -48,17 +53,59 @@ func ParseDevice(data []byte) (*Device, error) {
 	return ds.Device()
 }
 
+var deviceKeys = []string{"id", "region", "deployed", "retired", "utilization", "scenario"}
+
+// fastDevice decodes a device line and its embedded scenario in one pass.
+// ds.Scenario holds the scenario's bytes, as encoding/json would leave
+// them, and spec and specErr are what scenario.Unmarshal makes of them
+// (nil, nil when the line has no scenario). ok is false when the line
+// left the fast subset.
+func fastDevice(data []byte) (ds DeviceSpec, spec *scenario.Spec, specErr error, ok bool) {
+	d := scenario.NewFastDecoder(data)
+	d.Object(deviceKeys, func(key string) {
+		switch key {
+		case "id":
+			ds.ID = d.String()
+		case "region":
+			ds.Region = d.String()
+		case "deployed":
+			ds.Deployed = d.String()
+		case "retired":
+			ds.Retired = d.String()
+		case "utilization":
+			u := d.Float()
+			ds.Utilization = &u
+		case "scenario":
+			start := d.Pos()
+			spec, specErr = d.Spec()
+			ds.Scenario = data[start:d.Pos()]
+		}
+	})
+	return ds, spec, specErr, d.End()
+}
+
 // Device validates the wire form and applies the documented defaults.
 func (ds *DeviceSpec) Device() (*Device, error) {
+	var spec *scenario.Spec
+	var specErr error
+	if len(ds.Scenario) > 0 {
+		spec, specErr = scenario.Unmarshal(ds.Scenario)
+	}
+	return ds.device(spec, specErr)
+}
+
+// device is Device with the scenario already decoded by the caller, so a
+// line decoded in one pass is not decoded twice. specErr is reported only
+// after the id and the scenario's presence are checked.
+func (ds *DeviceSpec) device(spec *scenario.Spec, specErr error) (*Device, error) {
 	if ds.ID == "" {
 		return nil, fmt.Errorf("fleet: %w", acterr.Invalid("id", "missing device id"))
 	}
 	if len(ds.Scenario) == 0 {
 		return nil, fmt.Errorf("fleet: %w", acterr.Invalid("scenario", "missing scenario"))
 	}
-	spec, err := scenario.Unmarshal(ds.Scenario)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
+	if specErr != nil {
+		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", specErr))
 	}
 	deployed, err := parseDate("deployed", ds.Deployed)
 	if err != nil {

@@ -5,7 +5,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -110,20 +109,14 @@ type Spec struct {
 	LifetimeYears float64 `json:"lifetime_years,omitempty"`
 }
 
-// Parse decodes a scenario from JSON, rejecting unknown fields so typos in
-// hand-written scenarios fail loudly, and normalizes the envelope version
-// (missing defaults to 1, anything else is a typed error).
+// Parse reads r to EOF and decodes the scenario with Unmarshal, so a
+// file, a pipe and a request body are held to the same rules.
 func Parse(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if err := s.checkVersion(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return Unmarshal(data)
 }
 
 // checkVersion normalizes a missing version to 1 and rejects versions this

@@ -21,6 +21,12 @@ func fuzzSeeds(f *testing.F) {
 		`[{"name":"x"}]`,
 		`null`,
 		`{"name":"x",`,
+		`{"name":"x"} trailing junk`,
+		`{"name":"x","NAME":"y"}`,
+		`{"name":"x","logic":[{"name":"a","fab":{"yield":0.5}}],"logic":[{"name":"m"}]}`,
+		`{"name":"a\"b","logic":[],"end_of_life":{}}`,
+		`{"n\u0061me":"R\u0026D \ud83d\ude00 \ud83d\u0041 \udc00","usage":{"power_w":1,"app_hours":1}}`,
+		`{"name":"x","extra_ics":-0,"lifetime_years":1E+2}`,
 	}
 	if data, err := Marshal(Example()); err == nil {
 		seeds = append(seeds, string(data))
@@ -31,12 +37,14 @@ func fuzzSeeds(f *testing.F) {
 }
 
 // FuzzScenarioUnmarshal asserts the wire decoder never panics on arbitrary
-// bytes, and that anything it accepts survives a Marshal/Unmarshal round
-// trip without changing identity — the property the footprint cache and
-// the golden wire tests both lean on.
+// bytes, that its fast path answers exactly as encoding/json whenever it
+// answers at all, and that anything it accepts survives a
+// Marshal/Unmarshal round trip without changing identity — the property
+// the footprint cache and the golden wire tests both lean on.
 func FuzzScenarioUnmarshal(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFastUnmarshal(t, data)
 		spec, err := Unmarshal(data)
 		if err != nil {
 			return

@@ -99,6 +99,9 @@ func TestFootprintStatusMapping(t *testing.T) {
 		{"unknown-wire-field", `{"bogus": 1, ` + valid[1:], http.StatusBadRequest, codeInvalidArgument, "",
 			`scenario: json: unknown field "bogus"`},
 		{"malformed-json", `{"name": "x"`, http.StatusBadRequest, codeInvalidArgument, "", `scenario: unexpected EOF`},
+		{"trailing-data", valid + ` trailing junk`, http.StatusBadRequest, codeInvalidArgument, "",
+			`scenario: invalid character 't' after top-level value`},
+		{"batch-trailing-data", `[` + valid + `] trailing junk`, http.StatusBadRequest, codeInvalidArgument, "", ""},
 		{"empty-body", ``, http.StatusBadRequest, codeInvalidArgument, "", `scenario: invalid spec: empty request body`},
 		{"empty-batch", `[]`, http.StatusBadRequest, codeInvalidArgument, "", ""},
 		{"batch-bad-element", `[` + valid + `, {"name": "broken"}]`, http.StatusBadRequest, codeInvalidArgument, "[1]", ""},

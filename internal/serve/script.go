@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"act/internal/acterr"
@@ -69,7 +68,7 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req scriptRequest
-	dec := json.NewDecoder(strings.NewReader(string(body)))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		s.countScriptEval(codeInvalidArgument)
