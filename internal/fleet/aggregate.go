@@ -1,15 +1,19 @@
 // Incremental aggregation queries. A summary folds the per-shard running
 // totals in shard order — O(shards) work however many devices are
 // registered — and group-by merges the per-shard group maps the same way.
-// Top-K is the one O(devices) query: it fans the per-shard scans out
-// through parsweep and merges the per-shard winners. The fold
+// Top-K is the one O(devices) query: each shard, on a parsweep worker,
+// keeps a bounded selection of its min(k, devices) best records, and only
+// those become documents, which MergeTop merges. The fold
 // (SummaryFold) and the top-K merge (MergeTop) are exported because the
 // cluster's scatter-gather runs them too, over gathered shard aggregates.
 
 package fleet
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"act/internal/acterr"
 	"act/internal/parsweep"
@@ -64,7 +68,10 @@ func (r *Registry) Query(q Query) (report.FleetSummaryJSON, error) {
 	if q.TopK > 0 {
 		top = r.topK(q.TopK)
 	}
-	return f.Finish(r.evals.len(), top), nil
+	r.boms.mu.Lock()
+	distinct := len(r.boms.keys) // canonical keys, not spellings
+	r.boms.mu.Unlock()
+	return f.Finish(distinct, top), nil
 }
 
 // SummaryFold is the one summary fold, shared by Registry.Query and the
@@ -169,29 +176,67 @@ func (f *SummaryFold) Finish(distinctBoMs int, top []report.FleetDeviceJSON) rep
 }
 
 // topK returns the K largest emitters (per-device total grams, ties broken
-// by id so the answer is deterministic). Each shard scans its own records
-// on a parsweep worker; MergeTop keeps the best K. The caller read-holds
-// r.mu.
+// by id so the answer is deterministic). Each shard selects its own best
+// records on a parsweep worker and documents only those; MergeTop keeps
+// the best K. The caller read-holds r.mu.
 func (r *Registry) topK(k int) []report.FleetDeviceJSON {
 	perShard := parsweep.Map(r.cfg.Workers, r.shards, func(_ int, sh *shard) []report.FleetDeviceJSON {
 		sh.mu.Lock()
-		local := make([]report.FleetDeviceJSON, 0, len(sh.recs))
-		for _, rec := range sh.recs {
-			local = append(local, report.FleetDeviceJSON{
-				ID:             rec.dev.ID,
-				Region:         canonRegion(rec.dev.Region),
-				Node:           rec.node,
+		best := selectTop(sh.recs, k)
+		sh.mu.Unlock()
+		out := make([]report.FleetDeviceJSON, len(best))
+		for i, rec := range best {
+			out[i] = report.FleetDeviceJSON{
+				ID:             rec.id,
+				Region:         canon(rec.region),
+				Node:           rec.bom.node,
 				EmbodiedG:      rec.contrib.embodiedG,
 				EmbodiedShareG: rec.contrib.embodiedShareG,
 				OperationalG:   rec.contrib.operationalG,
 				TotalG:         rec.contrib.totalG(),
-			})
+			}
 		}
-		sh.mu.Unlock()
-		sortEmitters(local)
-		return local[:min(k, len(local))]
+		return out
 	})
 	return MergeTop(k, perShard...)
+}
+
+// selectTop returns the min(k, len(recs)) records that rank first, in rank
+// order. The kept set is a heap with its worst-ranked record at the root,
+// so a record that cannot displace the root costs one comparison. The
+// buffer is sized by the shard too: callers choose k without bound.
+func selectTop(recs map[string]*record, k int) []*record {
+	h := make([]*record, 0, min(k, len(recs)))
+	for _, rec := range recs {
+		if len(h) < cap(h) {
+			h = append(h, rec)
+			for i := len(h) - 1; i > 0 && rankCmp(h[i], h[(i-1)/2]) > 0; i = (i - 1) / 2 {
+				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+			}
+		} else if rankCmp(rec, h[0]) < 0 {
+			h[0] = rec
+			for i, c := 0, 1; c < len(h); i, c = c, 2*c+1 {
+				if c+1 < len(h) && rankCmp(h[c+1], h[c]) > 0 {
+					c++
+				}
+				if rankCmp(h[c], h[i]) <= 0 {
+					break
+				}
+				h[i], h[c] = h[c], h[i]
+			}
+		}
+	}
+	slices.SortFunc(h, rankCmp)
+	return h
+}
+
+// rankCmp orders records as top-K lists do: descending total, ties by
+// ascending id. Ids are unique, so the order is strict.
+func rankCmp(a, b *record) int {
+	if c := cmp.Compare(b.contrib.totalG(), a.contrib.totalG()); c != 0 {
+		return c
+	}
+	return strings.Compare(a.id, b.id)
 }
 
 // MergeTop merges emitter lists into the K largest, ordered by descending

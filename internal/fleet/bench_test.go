@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -44,6 +46,77 @@ func BenchmarkFleetIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFleetIngestBoMs ingests n devices into a fresh registry per
+// op under three BoM mixes: "shared", 32 BoMs each sent as the same
+// compact bytes (the perfbench fleet's shape); "unique", every device its
+// own BoM; "respelled", 32 BoMs each device spells with its own
+// whitespace. It reports ingest time and retained heap per device.
+func BenchmarkFleetIngestBoMs(b *testing.B) {
+	const n = 4096
+	for _, mix := range []string{"shared", "unique", "respelled"} {
+		b.Run(mix, func(b *testing.B) {
+			var body bytes.Buffer
+			for i := 0; i < n; i++ {
+				bom, variant := i%32, 0
+				switch mix {
+				case "unique":
+					bom = i
+				case "respelled":
+					variant = i
+				}
+				raw, err := scenario.Marshal(testSpec(bom))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var compact bytes.Buffer
+				if err := json.Compact(&compact, raw); err != nil {
+					b.Fatal(err)
+				}
+				fmt.Fprintf(&body, `{"id":"dev-%07d","region":"europe","deployed":"2024-01-01","utilization":0.5,"scenario":%s}`+"\n",
+					i, respell(compact.Bytes(), variant))
+			}
+			ingest := func() *Registry {
+				reg := New(Config{Shards: 64})
+				if _, err := reg.IngestNDJSON(bytes.NewReader(body.Bytes()), 0); err != nil {
+					b.Fatal(err)
+				}
+				return reg
+			}
+			var m0, m1 runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&m0)
+			reg := ingest()
+			runtime.GC()
+			runtime.ReadMemStats(&m1)
+			runtime.KeepAlive(reg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ingest()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/device")
+			b.ReportMetric((float64(m1.HeapAlloc)-float64(m0.HeapAlloc))/n, "heap-B/device")
+		})
+	}
+}
+
+// respell puts a space after the j-th ',' or ':' of compact JSON (which
+// has neither inside its strings) for each bit j set in variant.
+func respell(compact []byte, variant int) []byte {
+	var out []byte
+	j := 0
+	for _, c := range compact {
+		out = append(out, c)
+		if c == ',' || c == ':' {
+			if variant>>j&1 == 1 {
+				out = append(out, ' ')
+			}
+			j++
+		}
+	}
+	return out
 }
 
 var deviceSink *Device

@@ -7,9 +7,10 @@
 // intensity. This package keeps that quantity always-available:
 //
 //   - Devices are upserted with an id, a deployment region, deploy/retire
-//     dates, a utilization fraction, and a scenario BoM. Identical BoMs
-//     (dedup-keyed by scenario.CanonicalKey) share one embodied-carbon
-//     evaluation.
+//     dates, a utilization fraction, and a scenario BoM. Every device sent
+//     with the same scenario bytes shares one BoM table entry (the parsed
+//     spec and everything derived from it), and entries with the same
+//     scenario.CanonicalKey share one embodied-carbon evaluation.
 //   - Every upsert/remove updates its shard's running totals: the
 //     amortized embodied share follows Eq. 1's T/LT with T the device's
 //     deployed window capped at LT; the operational share prices the
@@ -25,6 +26,8 @@
 package fleet
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -59,6 +62,10 @@ type Device struct {
 	// and usage.power_w are consulted: app-hours come from the deployed
 	// window and utilization, and the operational intensity from Region.
 	Spec *scenario.Spec
+	// wire is the digest of ParseDevice's scenario bytes and parsed their
+	// decoding; wire keys the BoM table while Spec == parsed.
+	wire   bomID
+	parsed *scenario.Spec
 }
 
 // Validate checks the parsed device. Failures are typed
@@ -86,11 +93,6 @@ func (d *Device) Validate() error {
 	return nil
 }
 
-// activeYears is the deployed window in years.
-func (d *Device) activeYears() float64 {
-	return d.Retired.Sub(d.Deployed).Hours() / (365.25 * 24)
-}
-
 // contribution is what one device adds to its shard's running totals.
 // It is computed once at upsert (or recompute) and carried verbatim
 // through the write-ahead log and snapshots, so replay and restore never
@@ -107,24 +109,14 @@ type contribution struct {
 
 func (c contribution) totalG() float64 { return c.embodiedShareG + c.operationalG }
 
-// record is a registered device plus everything derived from it.
+// record is a registered device, its BoM table entry and its contribution.
 type record struct {
-	dev Device
-	// specJSON is the canonical scenario.Marshal form, the bytes snapshots
-	// and the write-ahead log carry.
-	specJSON []byte
-	// key is scenario.CanonicalKey of the BoM — the embodied-evaluation
-	// dedup key.
-	key string
-	// node is the canonical primary process node (the first logic die's,
-	// snapped), the group-by-node dimension; "" for logic-less devices.
-	node string
-	// class is the canonical device-class name (the scenario's device
-	// name), the group-by-class dimension the telemetry exporter keys its
-	// per-class series on. Derived from the spec, so it is never persisted:
-	// restore and replay rebuild it from the scenario bytes.
-	class   string
-	contrib contribution
+	id                string
+	region            string
+	deployed, retired time.Time
+	utilization       float64
+	bom               *bom
+	contrib           contribution
 }
 
 // aggregate is one shard's running totals.
@@ -172,9 +164,9 @@ func newShard() *shard {
 func (sh *shard) applyLocked(rec *record, sign float64) {
 	sh.agg.add(rec.contrib, sign)
 	sh.agg.devices += int64(sign)
-	applyGroup(sh.byRegion, canonRegion(rec.dev.Region), rec.contrib, sign)
-	applyGroup(sh.byNode, rec.node, rec.contrib, sign)
-	applyGroup(sh.byClass, rec.class, rec.contrib, sign)
+	applyGroup(sh.byRegion, canon(rec.region), rec.contrib, sign)
+	applyGroup(sh.byNode, rec.bom.node, rec.contrib, sign)
+	applyGroup(sh.byClass, rec.bom.class, rec.contrib, sign)
 }
 
 // dim returns the group-by dimension a query names — "region", "node" or
@@ -213,7 +205,7 @@ type IntensityResolver func(region string) (units.CarbonIntensity, error)
 // the default resolver.
 func StaticRegions() IntensityResolver {
 	return func(region string) (units.CarbonIntensity, error) {
-		info, err := intensity.ByRegion(intensity.Region(canonRegion(region)))
+		info, err := intensity.ByRegion(intensity.Region(canon(region)))
 		if err != nil {
 			return 0, acterr.Invalid("region", "unknown region %q (want a Table 6 name)", region)
 		}
@@ -230,7 +222,7 @@ func TraceResolver(traces map[string]intensity.Trace, fallback IntensityResolver
 	var mu sync.Mutex
 	cache := map[string]units.CarbonIntensity{}
 	return func(region string) (units.CarbonIntensity, error) {
-		key := canonRegion(region)
+		key := canon(region)
 		tr, ok := traces[key]
 		if !ok {
 			if fallback == nil {
@@ -287,7 +279,7 @@ type Registry struct {
 	mu     sync.RWMutex
 	cfg    Config
 	shards []*shard
-	evals  evalCache
+	boms   bomTable
 	count  atomic.Int64
 	// gen counts structural mutations (upsert, remove, restore, recompute
 	// install). A staged recompute remembers the generation it priced and
@@ -303,7 +295,6 @@ func New(cfg Config) *Registry {
 	for i := range r.shards {
 		r.shards[i] = newShard()
 	}
-	r.evals.entries = map[string]*evalEntry{}
 	return r
 }
 
@@ -316,66 +307,48 @@ func (r *Registry) shardFor(id string) *shard {
 }
 
 // Upsert registers dev, replacing any device with the same ID, and folds
-// its contribution into the owning shard's running totals. The embodied
-// evaluation is shared across identical BoMs. Validation failures are
-// typed; a write-ahead-log failure aborts the upsert with the registry
-// unchanged.
+// its contribution into the owning shard's running totals. The device's
+// BoM table entry is found by the digest of its scenario's exact bytes,
+// or built on a miss. Validation failures are typed; a write-ahead-log
+// failure aborts the upsert with the registry unchanged.
 func (r *Registry) Upsert(dev Device) (replaced bool, err error) {
-	rec, err := r.evaluate(&dev)
-	if err != nil {
-		return false, err
+	if err := dev.Validate(); err != nil {
+		return false, fmt.Errorf("fleet: %w", err)
 	}
+	id, specJSON := dev.wire, []byte(nil)
+	if dev.Spec != dev.parsed {
+		if specJSON, err = scenario.Marshal(dev.Spec); err != nil {
+			return false, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
+		}
+		id = sha256.Sum256(specJSON)
+	}
+	b, embodiedG, err := r.boms.find(id, specJSON, dev.Spec)
+	if err != nil {
+		return false, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
+	}
+	ci, err := r.cfg.Resolver(dev.Region)
+	if err != nil {
+		return false, fmt.Errorf("fleet: %w", err)
+	}
+	rec := &record{id: dev.ID, region: dev.Region, deployed: dev.Deployed,
+		retired: dev.Retired, utilization: dev.Utilization, bom: b}
+	rec.contrib = contributionOf(rec, embodiedG, ci)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.apply(rec, true)
 }
 
-// evaluate derives a full record from a validated device: canonical spec
-// bytes, dedup key, primary node, and the contribution priced under the
-// registry's resolver.
-func (r *Registry) evaluate(dev *Device) (*record, error) {
-	if err := dev.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	specJSON, err := scenario.Marshal(dev.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
-	}
-	node, err := primaryNode(dev.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
-	}
-	key := dev.Spec.CanonicalKey()
-	embodiedG, err := r.evals.embodied(key, dev.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", acterr.Prefix("scenario", err))
-	}
-	ci, err := r.cfg.Resolver(dev.Region)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
-	return &record{
-		dev:      *dev,
-		specJSON: specJSON,
-		key:      key,
-		node:     node,
-		class:    canonClass(dev.Spec.Name),
-		contrib:  contributionOf(dev, embodiedG, ci),
-	}, nil
-}
-
 // contributionOf prices a device: Eq. 1's amortized embodied share plus
 // the operational emissions of its deployed window.
-func contributionOf(dev *Device, embodiedG float64, ci units.CarbonIntensity) contribution {
-	lt := dev.Spec.Lifetime()
-	active := dev.activeYears()
-	amort := active / lt
+func contributionOf(rec *record, embodiedG float64, ci units.CarbonIntensity) contribution {
+	lt := rec.bom.spec.Lifetime()
+	activeHours := rec.retired.Sub(rec.deployed).Hours()
+	amort := activeHours / (365.25 * 24) / lt
 	if amort > 1 {
 		amort = 1
 	}
-	activeHours := dev.Retired.Sub(dev.Deployed).Hours()
-	energyKWh := dev.Spec.Usage.PowerW * activeHours / 1000
-	opG := ci.Emitted(units.KilowattHours(energyKWh)).Grams() * dev.Utilization
+	energyKWh := rec.bom.spec.Usage.PowerW * activeHours / 1000
+	opG := ci.Emitted(units.KilowattHours(energyKWh)).Grams() * rec.utilization
 	return contribution{
 		embodiedG:      embodiedG,
 		embodiedShareG: embodiedG * amort,
@@ -387,7 +360,7 @@ func contributionOf(dev *Device, embodiedG float64, ci units.CarbonIntensity) co
 // then the in-memory mutation (which cannot fail). The caller read-holds
 // r.mu.
 func (r *Registry) apply(rec *record, logIt bool) (replaced bool, err error) {
-	sh := r.shardFor(rec.dev.ID)
+	sh := r.shardFor(rec.id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if err := faultinject.VisitNoCtx(faultinject.SiteFleetShard); err != nil {
@@ -398,18 +371,18 @@ func (r *Registry) apply(rec *record, logIt bool) (replaced bool, err error) {
 			return false, fmt.Errorf("fleet: write-ahead log: %w", err)
 		}
 	}
-	old, existed := sh.recs[rec.dev.ID]
+	old, existed := sh.recs[rec.id]
 	if existed {
 		sh.applyLocked(old, -1)
 	} else {
 		r.count.Add(1)
 	}
 	r.gen.Add(1)
-	sh.recs[rec.dev.ID] = rec
+	rec.bom = r.boms.retain(rec.bom, rec.contrib.embodiedG)
+	sh.recs[rec.id] = rec
 	sh.applyLocked(rec, +1)
-	r.evals.retain(rec.key, rec.contrib.embodiedG)
 	if existed {
-		r.evals.release(old.key)
+		r.boms.release(old.bom)
 	}
 	return existed, nil
 }
@@ -442,7 +415,7 @@ func (r *Registry) remove(id string, logIt bool) (bool, error) {
 	sh.applyLocked(rec, -1)
 	r.count.Add(-1)
 	r.gen.Add(1)
-	r.evals.release(rec.key)
+	r.boms.release(rec.bom)
 	return true, nil
 }
 
@@ -460,91 +433,124 @@ func primaryNode(spec *scenario.Spec) (string, error) {
 	return string(params.Node), nil
 }
 
-// canonRegion normalizes a region name the way the intensity tables do.
-func canonRegion(s string) string {
+// canon normalizes a region name the way the intensity tables do, and a
+// device-class name the same way, so "Mobile-Phone" and "mobile-phone "
+// group together.
+func canon(s string) string {
 	return strings.ToLower(strings.TrimSpace(s))
 }
 
-// canonClass normalizes a device-class name (the scenario's device name)
-// the same way, so "Mobile-Phone" and "mobile-phone " group together.
-func canonClass(s string) string {
-	return strings.ToLower(strings.TrimSpace(s))
+// bomID is the SHA-256 digest of a scenario's exact bytes.
+type bomID [sha256.Size]byte
+
+// bom is one BoM table entry: a scenario as the registry received it and
+// everything derived from it, shared by every device sent with the same
+// scenario bytes. All fields but refs are immutable.
+type bom struct {
+	id       bomID
+	spec     *scenario.Spec
+	specJSON []byte // scenario.Marshal's form, what snapshots and the WAL carry
+	key      string // scenario.CanonicalKey, the embodied-evaluation dedup key
+	// node is the canonical primary process node (the first logic die's,
+	// snapped), the group-by-node dimension; "" for logic-less devices.
+	node  string
+	class string // canonical device name, the group-by-class key; not persisted
+	refs  int    // registered devices pointing at the entry
 }
 
-// evalCache shares one embodied-carbon evaluation across every device
-// with the same canonical BoM, refcounted so DistinctBoMs stays exact as
-// devices come and go.
-type evalCache struct {
+// bomTable is the registry's one table of BoMs, keyed on the digest of
+// the exact scenario bytes (two scenarios share an entry only if their
+// bytes collide in SHA-256): the device line's scenario field on ingest,
+// the persisted specJSON on replay and restore, scenario.Marshal's output
+// for a device built in code. Never on the canonical key, which
+// normalizes defaults that marshal differently, so two spellings of one
+// BoM are two entries. keys gives them one shared embodied evaluation and
+// counts them: len(keys) is the exact distinct-BoM count. The zero table
+// is empty and ready to use.
+type bomTable struct {
 	mu      sync.Mutex
-	entries map[string]*evalEntry
+	entries map[bomID]*bom
+	keys    map[string]*bomKey
 }
 
-type evalEntry struct {
+type bomKey struct {
 	embodiedG float64
-	refs      int
+	rep       *bom // the key's first entry: its spec is what Recompute reprices
+	entries   int
 }
 
-// embodied returns the shared evaluation for key, computing it on first
-// sight. The model evaluation runs under the cache lock: misses are as
-// rare as distinct BoMs, and the evaluation is microseconds of pure table
-// math. Nothing is inserted here — retain does, once the upsert commits —
-// so an upsert that later fails leaves no zero-ref residue behind.
-func (c *evalCache) embodied(key string, spec *scenario.Spec) (float64, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return e.embodiedG, nil
+// find returns the entry for id and its embodied grams. On a miss it
+// builds an unregistered entry from spec (and specJSON, its Marshal form,
+// when the caller has it) outside the lock: a known key lends it its
+// evaluation, and its spec and bytes when they marshal alike; else the BoM
+// is evaluated. Only retain inserts, once the upsert commits.
+func (t *bomTable) find(id bomID, specJSON []byte, spec *scenario.Spec) (*bom, float64, error) {
+	t.mu.Lock()
+	if b, ok := t.entries[id]; ok {
+		defer t.mu.Unlock()
+		return b, t.keys[b.key].embodiedG, nil
 	}
-	c.mu.Unlock()
-	return embodiedOf(spec)
+	t.mu.Unlock()
+	node, err := primaryNode(spec)
+	if err == nil && specJSON == nil {
+		specJSON, err = scenario.Marshal(spec)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	b := &bom{id: id, spec: spec, specJSON: specJSON,
+		key: spec.CanonicalKey(), node: node, class: canon(spec.Name)}
+	t.mu.Lock()
+	if k := t.keys[b.key]; k != nil {
+		defer t.mu.Unlock()
+		if b.key = k.rep.key; bytes.Equal(specJSON, k.rep.specJSON) {
+			b.spec, b.specJSON = k.rep.spec, k.rep.specJSON
+		}
+		return b, k.embodiedG, nil
+	}
+	t.mu.Unlock()
+	// Priced through colbatch as Recompute does: one BoM, one pricing.
+	var out [1]float64
+	err = colbatch.EmbodiedTotals([]*scenario.Spec{spec}, out[:])
+	return b, out[0], err
 }
 
-// retain bumps the refcount for key (inserting if the entry was evicted
-// between evaluation and apply).
-func (c *evalCache) retain(key string, embodiedG float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+// retain registers one more device on the table's entry for b's id,
+// inserting b (a candidate from find, or an entry since released or of a
+// table since replaced wholesale, whose count restarts) when there is
+// none, and returns the entry.
+func (t *bomTable) retain(b *bom, embodiedG float64) *bom {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.entries == nil {
+		t.entries, t.keys = map[bomID]*bom{}, map[string]*bomKey{}
+	}
+	e, ok := t.entries[b.id]
 	if !ok {
-		e = &evalEntry{embodiedG: embodiedG}
-		c.entries[key] = e
+		e = b
+		e.refs = 0
+		t.entries[e.id] = e
+		if t.keys[e.key] == nil {
+			t.keys[e.key] = &bomKey{embodiedG: embodiedG, rep: e}
+		}
+		t.keys[e.key].entries++
 	}
 	e.refs++
+	return e
 }
 
-// release drops one reference; the entry is evicted at zero.
-func (c *evalCache) release(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
-		e.refs--
-		if e.refs <= 0 {
-			delete(c.entries, key)
+// release drops one device from b. The entry leaves the table with its
+// last device, and its key with its last entry.
+func (t *bomTable) release(b *bom) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if b.refs--; b.refs == 0 {
+		delete(t.entries, b.id)
+		k := t.keys[b.key]
+		if k.entries--; k.entries == 0 {
+			delete(t.keys, b.key)
 		}
 	}
-}
-
-// len returns the distinct-BoM count.
-func (c *evalCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// reset replaces the cache contents wholesale (restore/recompute).
-func (c *evalCache) reset(entries map[string]*evalEntry) {
-	c.mu.Lock()
-	c.entries = entries
-	c.mu.Unlock()
-}
-
-// embodiedOf evaluates the BoM's full embodied footprint (ECF) through
-// the same columnar pricing Recompute uses, so ingest and recompute can
-// never price one BoM two ways.
-func embodiedOf(spec *scenario.Spec) (float64, error) {
-	var out [1]float64
-	err := colbatch.EmbodiedTotals([]*scenario.Spec{spec}, out[:])
-	return out[0], err
 }
 
 // dateFormat is the wire date form (RFC 3339 is also accepted on input).

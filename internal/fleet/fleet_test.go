@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -478,5 +480,112 @@ func TestDedupSharesEvaluation(t *testing.T) {
 	doc := reg.Summary()
 	if doc.Devices != 1000 || doc.DistinctBoMs != 1 {
 		t.Fatalf("devices=%d distinct=%d, want 1000/1", doc.Devices, doc.DistinctBoMs)
+	}
+}
+
+// TestSummaryZeroAllocs holds the O(shards) summary to zero allocations:
+// it folds the running totals and builds no per-device state.
+func TestSummaryZeroAllocs(t *testing.T) {
+	reg := goldenFleet(t)
+	if n := testing.AllocsPerRun(100, func() { _ = reg.Summary() }); n != 0 {
+		t.Fatalf("Summary allocates %v times per call, want 0", n)
+	}
+}
+
+// TestParsedDeviceGivenAnotherSpec: a parsed device whose Spec is replaced
+// is keyed by its new spec, not by the line's scenario bytes, so a later
+// line with those bytes still registers the BoM they spell.
+// TestParsedDeviceOwnsItsKey reuses the line buffer between ParseDevice
+// and Upsert, as a line scanner does: the device must keep its own BoM.
+func TestParsedDeviceOwnsItsKey(t *testing.T) {
+	var lines [2][]byte // same length, different BoMs
+	for i := range lines {
+		raw, err := scenario.Marshal(testSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = []byte(fmt.Sprintf(`{"id":"a","region":"europe","deployed":"2024-01-01","scenario":%s}`, compact.Bytes()))
+	}
+	reg := New(Config{Shards: 2})
+	if _, err := reg.IngestNDJSON(bytes.NewReader(bytes.Replace(lines[1], []byte(`"a"`), []byte(`"b"`), 1)), 0); err != nil {
+		t.Fatal(err)
+	}
+	buf := append([]byte{}, lines[0]...)
+	dev, err := ParseDevice(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, lines[1])
+	if _, err := reg.Upsert(*dev); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := reg.Query(Query{GroupBy: "class"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.DistinctBoMs != 2 || len(doc.Groups) != 2 {
+		t.Fatalf("got %d BoMs, class groups %+v; want bom-0 and bom-1", doc.DistinctBoMs, doc.Groups)
+	}
+}
+
+func TestParsedDeviceGivenAnotherSpec(t *testing.T) {
+	raw, err := scenario.Marshal(testSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf(`{"id":"a","region":"europe","deployed":"2024-01-01","scenario":%s}`, raw)
+	dev, err := ParseDevice([]byte(line))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.Spec = testSpec(1)
+	reg := New(Config{Shards: 2})
+	if _, err := reg.Upsert(*dev); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.IngestNDJSON(strings.NewReader(strings.Replace(line, `"a"`, `"b"`, 1)), 0); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := reg.Query(Query{GroupBy: "class"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doc.DistinctBoMs != 2 || len(doc.Groups) != 2 ||
+		doc.Groups[0].Key != "bom-0" || doc.Groups[1].Key != "bom-1" {
+		t.Fatalf("got %d BoMs, class groups %+v; want bom-0 and bom-1", doc.DistinctBoMs, doc.Groups)
+	}
+}
+
+// TestBoMTableReinsert covers an upsert whose entry left the table
+// between its lookup and its commit, released by a remove or dropped with
+// a table Restore replaced: retain inserts the entry again with its count
+// restarted.
+func TestBoMTableReinsert(t *testing.T) {
+	var tab bomTable
+	spec := testSpec(0)
+	raw, err := scenario.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cand, g, err := tab.find(sha256.Sum256(raw), raw, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := tab.retain(cand, g)
+	tab.retain(e, g)
+	tab.entries, tab.keys = nil, nil // a Restore's replacement, empty
+	if got := tab.retain(e, g); got != e || e.refs != 1 || tab.keys[e.key].entries != 1 {
+		t.Fatalf("after a table replacement: refs %d, key entries %d; want 1, 1", e.refs, tab.keys[e.key].entries)
+	}
+	tab.release(e)
+	if len(tab.entries) != 0 || len(tab.keys) != 0 {
+		t.Fatalf("released entry left %d entries, %d keys", len(tab.entries), len(tab.keys))
+	}
+	if tab.retain(e, g); e.refs != 1 || tab.keys[e.key].entries != 1 {
+		t.Fatalf("after a release: refs %d, key entries %d; want 1, 1", e.refs, tab.keys[e.key].entries)
 	}
 }

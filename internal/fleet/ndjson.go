@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -128,6 +129,8 @@ func (ds *DeviceSpec) device(spec *scenario.Spec, specErr error) (*Device, error
 		Retired:     retired,
 		Utilization: util,
 		Spec:        spec,
+		wire:        sha256.Sum256(ds.Scenario),
+		parsed:      spec,
 	}
 	if err := dev.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)

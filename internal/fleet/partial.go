@@ -123,20 +123,20 @@ func groupSlots(dim map[string]*groupAgg) []GroupSlot {
 // BoMKeyHashes returns the sorted FNV-64a hashes of the registry's
 // distinct canonical BoM keys. The cluster fold counts DistinctBoMs as
 // the size of the union of every node's hash set: a BoM deployed on two
-// nodes contributes one element, exactly as the single registry's
-// refcounted eval cache counts it. Hashes travel instead of the keys
+// nodes contributes one element, exactly as the single registry's BoM
+// table counts it. Hashes travel instead of the keys
 // themselves because a canonical key is a full scenario encoding; the
 // count is exact unless two distinct keys in the same fleet collide in
 // 64 bits.
 func (r *Registry) BoMKeyHashes() []uint64 {
-	r.evals.mu.Lock()
-	out := make([]uint64, 0, len(r.evals.entries))
-	for k := range r.evals.entries {
+	r.boms.mu.Lock()
+	out := make([]uint64, 0, len(r.boms.keys))
+	for k := range r.boms.keys {
 		h := fnv.New64a()
 		_, _ = h.Write([]byte(k))
 		out = append(out, h.Sum64())
 	}
-	r.evals.mu.Unlock()
+	r.boms.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

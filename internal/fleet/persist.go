@@ -144,37 +144,41 @@ func (s *Store) loadSnapshot() (floor uint64, err error) {
 	}
 	defer f.Close()
 
-	magic := make([]byte, 8)
-	if _, err := io.ReadFull(f, magic); err != nil {
+	if floor, err = readEnvelope(f); err != nil {
 		return 0, fmt.Errorf("fleet: snapshot %s: %w", s.cfg.SnapshotPath, err)
-	}
-	if string(magic) != envMagic {
-		return 0, fmt.Errorf("fleet: snapshot %s: unrecognized magic %q", s.cfg.SnapshotPath, magic)
-	}
-	rest := make([]byte, 4+8+1+8)
-	if _, err := io.ReadFull(f, rest); err != nil {
-		return 0, fmt.Errorf("fleet: snapshot envelope: %w", err)
-	}
-	d := &reader{r: bytes.NewReader(rest)}
-	version := d.u32()
-	floor = d.u64()
-	_, _ = io.CopyN(io.Discard, d.r, 1) // flags: checksummed, otherwise unread
-	sum := d.u64()
-	if d.err != nil {
-		return 0, fmt.Errorf("fleet: snapshot envelope: %w", d.err)
-	}
-	if version != envVersion {
-		return 0, fmt.Errorf("fleet: snapshot envelope version %d unsupported", version)
-	}
-	hdr := append(append([]byte{}, magic...), rest[:4+8+1]...)
-	if fnvAdd(fnvOffset64, hdr) != sum {
-		return 0, errors.New("fleet: snapshot envelope checksum mismatch")
 	}
 	stale, err := s.reg.Restore(f)
 	if err != nil {
 		return 0, err
 	}
 	s.stale = stale
+	return floor, nil
+}
+
+// readEnvelope reads and verifies the snapshot envelope envelopeHeader
+// writes, returning its WAL floor; the snapshot body follows in rd.
+func readEnvelope(rd io.Reader) (floor uint64, err error) {
+	hdr := make([]byte, 8+4+8+1+8)
+	if _, err := io.ReadFull(rd, hdr[:8]); err != nil {
+		return 0, fmt.Errorf("envelope: %w", err)
+	}
+	if string(hdr[:8]) != envMagic {
+		return 0, fmt.Errorf("unrecognized magic %q", hdr[:8])
+	}
+	if _, err := io.ReadFull(rd, hdr[8:]); err != nil {
+		return 0, fmt.Errorf("envelope: %w", err)
+	}
+	d := &reader{r: bytes.NewReader(hdr[8:])}
+	version := d.u32()
+	floor = d.u64()
+	_, _ = io.CopyN(io.Discard, d.r, 1) // flags: checksummed, otherwise unread
+	sum := d.u64()
+	if version != envVersion {
+		return 0, fmt.Errorf("envelope version %d unsupported", version)
+	}
+	if fnvAdd(fnvOffset64, hdr[:8+4+8+1]) != sum {
+		return 0, errors.New("envelope checksum mismatch")
+	}
 	return floor, nil
 }
 

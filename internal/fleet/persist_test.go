@@ -148,7 +148,29 @@ func abs(v float64) float64 {
 // shows up as a diff.
 func TestSummaryGolden(t *testing.T) {
 	got := summaryBytes(t, goldenFleet(t))
-	path := filepath.Join("testdata", "summary.golden")
+	if want := readGolden(t, "summary.golden", got); !bytes.Equal(got, want) {
+		t.Fatalf("summary differs from golden:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestSnapshotGolden pins the snapshot format itself: the fixed fleet
+// must serialize to exactly the committed bytes, whatever the registry
+// keeps in memory.
+func TestSnapshotGolden(t *testing.T) {
+	var snap bytes.Buffer
+	if err := goldenFleet(t).Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if want := readGolden(t, "snapshot.golden", snap.Bytes()); !bytes.Equal(snap.Bytes(), want) {
+		t.Fatalf("snapshot differs from golden (%d bytes, want %d)", snap.Len(), len(want))
+	}
+}
+
+// readGolden returns testdata/name, first rewriting it with got under
+// -update.
+func readGolden(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -161,9 +183,7 @@ func TestSummaryGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to write it)", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("summary differs from golden:\n%s\nwant:\n%s", got, want)
-	}
+	return want
 }
 
 func TestRestoreRejectsCorruption(t *testing.T) {

@@ -13,7 +13,8 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"act/internal/colbatch"
 	"act/internal/parsweep"
@@ -47,8 +48,9 @@ type StagedRecompute struct {
 	r      *Registry
 	gen    uint64
 	shards []*shard
-	evals  map[string]*evalEntry
-	count  int64
+	// embodied is the repriced grams per canonical key.
+	embodied map[string]float64
+	count    int64
 }
 
 // PrepareRecompute reprices the whole registry against the current model
@@ -59,11 +61,11 @@ type StagedRecompute struct {
 func (r *Registry) PrepareRecompute(ctx context.Context) (*StagedRecompute, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	staged, evals, count, err := r.stageLocked(ctx)
+	staged, embodied, count, err := r.stageLocked(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &StagedRecompute{r: r, gen: r.gen.Load(), shards: staged, evals: evals, count: count}, nil
+	return &StagedRecompute{r: r, gen: r.gen.Load(), shards: staged, embodied: embodied, count: count}, nil
 }
 
 // Commit installs the staged state, restaging first when the registry
@@ -74,13 +76,13 @@ func (s *StagedRecompute) Commit(ctx context.Context) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.gen.Load() != s.gen {
-		staged, evals, count, err := r.stageLocked(ctx)
+		staged, embodied, count, err := r.stageLocked(ctx)
 		if err != nil {
 			return err
 		}
-		s.shards, s.evals, s.count = staged, evals, count
+		s.shards, s.embodied, s.count = staged, embodied, count
 	}
-	r.installLocked(s.shards, s.evals, s.count)
+	r.installLocked(s.shards, s.embodied, s.count)
 	if r.log != nil {
 		if err := r.log.Append([]byte{opRecompute}); err != nil {
 			return fmt.Errorf("fleet: write-ahead log: %w", err)
@@ -90,37 +92,27 @@ func (s *StagedRecompute) Commit(ctx context.Context) error {
 }
 
 // Abort discards the staged state. Safe to call after a failed Commit.
-func (s *StagedRecompute) Abort() { s.shards, s.evals = nil, nil }
+func (s *StagedRecompute) Abort() { s.shards, s.embodied = nil, nil }
 
 // recomputeLocked stages and installs in one step — the single-node
 // path. The caller write-holds r.mu (no readers hold shard locks, so
 // shard state is touched directly).
 func (r *Registry) recomputeLocked(ctx context.Context) error {
-	staged, evals, count, err := r.stageLocked(ctx)
+	staged, embodied, count, err := r.stageLocked(ctx)
 	if err != nil {
 		return err
 	}
-	r.installLocked(staged, evals, count)
+	r.installLocked(staged, embodied, count)
 	return nil
 }
 
 // stageLocked reprices every record into fresh replacement shards
-// without touching the live ones. The caller write-holds r.mu.
-func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalEntry, int64, error) {
+// without touching the live ones. Records keep their BoM table entries;
+// only the per-key embodied grams change. The caller write-holds r.mu, so
+// no upsert or remove changes the table meanwhile.
+func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]float64, int64, error) {
 	// One representative spec per distinct BoM, evaluated once each.
-	reps := map[string]*scenario.Spec{}
-	for _, sh := range r.shards {
-		for _, rec := range sh.recs {
-			if _, ok := reps[rec.key]; !ok {
-				reps[rec.key] = rec.dev.Spec
-			}
-		}
-	}
-	keys := make([]string, 0, len(reps))
-	for k := range reps {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(r.boms.keys))
 	// Reprice the deduped BoM set through the columnar engine: contiguous
 	// chunks of the sorted key list fan across the pool, each evaluated as
 	// one column batch. EmbodiedTotals reports a chunk's lowest-index item
@@ -129,20 +121,15 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalE
 	vals := make([]float64, len(keys))
 	specs := make([]*scenario.Spec, len(keys))
 	for i, k := range keys {
-		specs[i] = reps[k]
+		specs[i] = r.boms.keys[k].rep.spec
 	}
-	type span struct{ start, end int }
-	nChunks := (len(keys) + colbatch.DefaultChunk - 1) / colbatch.DefaultChunk
-	chunks := make([]span, nChunks)
-	for c := range chunks {
-		start := c * colbatch.DefaultChunk
-		chunks[c] = span{start, min(start+colbatch.DefaultChunk, len(keys))}
-	}
-	if _, err := parsweep.MapErrCtx(ctx, r.cfg.Workers, chunks, func(ctx context.Context, _ int, ch span) (struct{}, error) {
+	const chunk = colbatch.DefaultChunk
+	if _, err := parsweep.MapN(ctx, r.cfg.Workers, (len(keys)+chunk-1)/chunk, func(ctx context.Context, c int) (struct{}, error) {
 		if err := ctx.Err(); err != nil {
 			return struct{}{}, err
 		}
-		return struct{}{}, colbatch.EmbodiedTotals(specs[ch.start:ch.end], vals[ch.start:ch.end])
+		lo, hi := c*chunk, min((c+1)*chunk, len(keys))
+		return struct{}{}, colbatch.EmbodiedTotals(specs[lo:hi], vals[lo:hi])
 	}); err != nil {
 		return nil, nil, 0, fmt.Errorf("fleet: recompute: %w", err)
 	}
@@ -155,27 +142,15 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalE
 	// repriced cleanly, so a resolver failure leaves the registry intact.
 	staged, err := parsweep.MapErrCtx(ctx, r.cfg.Workers, r.shards, func(_ context.Context, _ int, sh *shard) (*shard, error) {
 		ns := newShard()
-		ids := make([]string, 0, len(sh.recs))
-		for id := range sh.recs {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			old := sh.recs[id]
-			ci, err := r.cfg.Resolver(old.dev.Region)
+		for _, id := range slices.Sorted(maps.Keys(sh.recs)) {
+			rec := *sh.recs[id]
+			ci, err := r.cfg.Resolver(rec.region)
 			if err != nil {
 				return nil, fmt.Errorf("fleet: recompute device %q: %w", id, err)
 			}
-			rec := &record{
-				dev:      old.dev,
-				specJSON: old.specJSON,
-				key:      old.key,
-				node:     old.node,
-				class:    old.class,
-				contrib:  contributionOf(&old.dev, embodied[old.key], ci),
-			}
-			ns.recs[id] = rec
-			ns.applyLocked(rec, +1)
+			rec.contrib = contributionOf(&rec, embodied[rec.bom.key], ci)
+			ns.recs[id] = &rec
+			ns.applyLocked(&rec, +1)
 		}
 		return ns, nil
 	})
@@ -183,26 +158,22 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]*evalE
 		return nil, nil, 0, err
 	}
 
-	entries := map[string]*evalEntry{}
 	var count int64
 	for _, ns := range staged {
 		count += ns.agg.devices
-		for _, rec := range ns.recs {
-			e, ok := entries[rec.key]
-			if !ok {
-				e = &evalEntry{embodiedG: rec.contrib.embodiedG}
-				entries[rec.key] = e
-			}
-			e.refs++
-		}
 	}
-	return staged, entries, count, nil
+	return staged, embodied, count, nil
 }
 
-// installLocked swaps the staged shards in. The caller write-holds r.mu.
-func (r *Registry) installLocked(staged []*shard, entries map[string]*evalEntry, count int64) {
+// installLocked swaps the staged shards and the repriced embodied grams
+// in. The caller write-holds r.mu.
+func (r *Registry) installLocked(staged []*shard, embodied map[string]float64, count int64) {
 	copy(r.shards, staged)
-	r.evals.reset(entries)
+	r.boms.mu.Lock()
+	for key, k := range r.boms.keys {
+		k.embodiedG = embodied[key]
+	}
+	r.boms.mu.Unlock()
 	r.count.Store(count)
 	r.gen.Add(1)
 }

@@ -26,7 +26,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 
 	"act/internal/faultinject"
 	"act/internal/memdb"
@@ -82,11 +83,7 @@ func (r *Registry) snapshotLocked(w io.Writer) error {
 // encodeShard frames one shard: sorted records, verbatim totals, sorted
 // group maps.
 func encodeShard(sh *shard) []byte {
-	ids := make([]string, 0, len(sh.recs))
-	for id := range sh.recs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(sh.recs))
 	var b []byte
 	b = appendU32(b, uint32(len(ids)))
 	for _, id := range ids {
@@ -102,11 +99,7 @@ func encodeShard(sh *shard) []byte {
 }
 
 func encodeGroups(b []byte, dim map[string]*groupAgg) []byte {
-	keys := make([]string, 0, len(dim))
-	for k := range dim {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(dim))
 	b = appendU32(b, uint32(len(keys)))
 	for _, k := range keys {
 		g := dim[k]
@@ -147,9 +140,10 @@ func (r *Registry) Restore(rd io.Reader) (stale bool, err error) {
 	}
 
 	shards := make([]*shard, shardCount)
+	boms := &bomTable{}
 	var count int64
 	for i := range shards {
-		sh, err := decodeShard(d)
+		sh, err := decodeShard(d, boms)
 		if err != nil {
 			return false, fmt.Errorf("fleet: restore: shard %d: %w", i, err)
 		}
@@ -165,47 +159,37 @@ func (r *Registry) Restore(rd io.Reader) (stale bool, err error) {
 		return false, fmt.Errorf("fleet: restore: checksum mismatch (snapshot corrupt or truncated)")
 	}
 
-	// Rebuild the shared-evaluation cache from the restored records.
-	entries := map[string]*evalEntry{}
-	for _, sh := range shards {
-		for _, rec := range sh.recs {
-			e, ok := entries[rec.key]
-			if !ok {
-				e = &evalEntry{embodiedG: rec.contrib.embodiedG}
-				entries[rec.key] = e
-			}
-			e.refs++
-		}
-	}
-
 	r.mu.Lock()
 	r.shards = shards
 	r.cfg.Shards = int(shardCount)
-	r.evals.reset(entries)
+	r.boms.mu.Lock()
+	r.boms.entries, r.boms.keys = boms.entries, boms.keys
+	r.boms.mu.Unlock()
 	r.count.Store(count)
 	r.gen.Add(1)
 	r.mu.Unlock()
 	return fp != memdb.Fingerprint(), nil
 }
 
-func decodeShard(d *reader) (*shard, error) {
+func decodeShard(d *reader, boms *bomTable) (*shard, error) {
 	sh := newShard()
 	n := d.u32()
 	if d.err != nil {
 		return nil, d.err
 	}
 	for i := uint32(0); i < n; i++ {
-		rec, err := decodeRecord(d)
+		rec, err := decodeRecord(d, boms)
 		if err != nil {
 			return nil, err
 		}
-		sh.recs[rec.dev.ID] = rec
+		rec.bom = boms.retain(rec.bom, rec.contrib.embodiedG)
+		sh.recs[rec.id] = rec
 		// The class dimension is derived from the scenario, not persisted:
 		// rebuild it here, folding in the stream's sorted-by-id record order
 		// so a restore is deterministic. (Unlike the persisted byRegion and
 		// byNode maps, the fold order differs from live apply order, so a
 		// restored class sum may differ from the live one in the last ulp.)
-		applyGroup(sh.byClass, rec.class, rec.contrib, +1)
+		applyGroup(sh.byClass, rec.bom.class, rec.contrib, +1)
 	}
 	sh.agg.devices = int64(d.u64())
 	sh.agg.embodiedG = d.f64()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"syscall"
 	"testing"
 
+	"act/internal/scenario"
 	"act/internal/units"
 	"act/internal/vfs"
 )
@@ -559,6 +561,16 @@ func TestStoreCorruptSnapshotFatal(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `unrecognized magic "ACTFLEET"`) {
 		t.Fatalf("bare ACTFLEET snapshot: err = %v, want unrecognized magic", err)
 	}
+
+	// A file too short for the envelope still reports its magic first.
+	m = vfs.NewMemFS()
+	writeTestFile(t, m, testSnapPath, []byte("NOTFLEET\x00"))
+	_, err = OpenStore(context.Background(), New(Config{Shards: 8}), StoreConfig{
+		FS: m, SnapshotPath: testSnapPath, WALDir: testWALDir,
+	})
+	if err == nil || !strings.Contains(err.Error(), `unrecognized magic "NOTFLEET"`) {
+		t.Fatalf("short foreign snapshot: err = %v, want unrecognized magic", err)
+	}
 }
 
 // writeTestFile creates name with data, durably.
@@ -577,5 +589,79 @@ func writeTestFile(t *testing.T, m *vfs.MemFS, name string, data []byte) {
 	_ = f.Close()
 	if err := m.SyncDir("data"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTwoSpellingsOneBoM sends one BoM twice, as a compact NDJSON line and
+// as an indented Upsert. The BoM table keys entries on the exact scenario
+// bytes, so that is two entries, but one canonical key: distinct_boms is
+// 1. A WAL replay and a restore both reproduce the registry
+// byte-identically, and the BoM is counted until its last device goes.
+func TestTwoSpellingsOneBoM(t *testing.T) {
+	indented, err := scenario.Marshal(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, indented); err != nil {
+		t.Fatal(err)
+	}
+	m := vfs.NewMemFS()
+	reg, _ := openTestStore(t, m, 1<<20)
+	line := fmt.Sprintf(`{"id":"dev-a","region":"europe","deployed":"2024-01-01","scenario":%s}`, compact.Bytes())
+	if _, err := reg.IngestNDJSON(strings.NewReader(line), 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Upsert(testDevice("dev-b", 1, "europe")); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(reg.boms.entries); got != 2 {
+		t.Fatalf("BoM table holds %d entries, want 2 (one per spelling)", got)
+	}
+	if got := reg.Summary().DistinctBoMs; got != 1 {
+		t.Fatalf("distinct_boms = %d, want 1", got)
+	}
+	var spellings []*bom
+	for _, e := range reg.boms.entries {
+		spellings = append(spellings, e)
+	}
+	if a, b := spellings[0], spellings[1]; a.spec != b.spec || &a.specJSON[0] != &b.specJSON[0] {
+		t.Fatal("two spellings that marshal alike keep two copies of the spec")
+	}
+	var snap bytes.Buffer
+	if err := reg.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	want := summaryBytes(t, reg)
+
+	replayed, _ := reopen(t, m, 1<<20)
+	restored := New(Config{})
+	if _, err := restored.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Registry{"replayed": replayed, "restored": restored} {
+		var again bytes.Buffer
+		if err := r.Snapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap.Bytes()) {
+			t.Fatalf("%s snapshot differs from the live one", name)
+		}
+		if got := summaryBytes(t, r); !bytes.Equal(got, want) {
+			t.Fatalf("%s summary differs:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+
+	if _, err := reg.Remove("dev-a"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Summary().DistinctBoMs; got != 1 {
+		t.Fatalf("after removing one spelling distinct_boms = %d, want 1", got)
+	}
+	if _, err := reg.Remove("dev-b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Summary().DistinctBoMs; got != 0 || len(reg.boms.entries) != 0 {
+		t.Fatalf("empty registry keeps %d BoMs, %d entries", got, len(reg.boms.entries))
 	}
 }

@@ -3,16 +3,22 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"act/internal/scenario"
 )
 
 // TestConcurrentShardConsistency hammers the registry from many goroutines
-// — upserts, replacements, removes, summaries, top-K and group-by queries
-// all interleaving — then checks the invariant the sharding must preserve:
-// the running totals equal the canonical refold of whatever device set
-// survived. Run under -race this is also the locking proof.
+// — upserts, replacements, removes, ingests of each BoM in many spellings,
+// recomputes, summaries, top-K and group-by queries all interleaving —
+// then checks the invariants the sharding and the BoM table must
+// preserve: the running totals equal the canonical refold of whatever
+// device set survived, and the table's counts match the surviving
+// records. Run under -race this is also the locking proof.
 func TestConcurrentShardConsistency(t *testing.T) {
 	const (
 		writers = 8
@@ -21,6 +27,18 @@ func TestConcurrentShardConsistency(t *testing.T) {
 	)
 	reg := New(Config{Shards: 16})
 	regions := []string{"united-states", "europe", "india", "world"}
+	var compactSpecs [6][]byte
+	for i := range compactSpecs {
+		raw, err := scenario.Marshal(testSpec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatal(err)
+		}
+		compactSpecs[i] = compact.Bytes()
+	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -33,6 +51,13 @@ func TestConcurrentShardConsistency(t *testing.T) {
 				case i%5 == 4:
 					if _, err := reg.Remove(id); err != nil {
 						t.Errorf("remove: %v", err)
+						return
+					}
+				case i%5 == 3:
+					line := fmt.Sprintf(`{"id":%q,"region":"europe","deployed":"2024-01-01","utilization":0.5,"scenario":%s}`,
+						id, respell(compactSpecs[(g+i)%6], g*ops+i))
+					if _, err := reg.IngestNDJSON(strings.NewReader(line), 0); err != nil {
+						t.Errorf("ingest: %v", err)
 						return
 					}
 				default:
@@ -50,6 +75,12 @@ func TestConcurrentShardConsistency(t *testing.T) {
 						return
 					}
 				}
+				if g == 0 && i%50 == 0 {
+					if err := reg.Recompute(context.Background()); err != nil {
+						t.Errorf("recompute: %v", err)
+						return
+					}
+				}
 				if i%25 == 0 {
 					if _, err := reg.Query(Query{TopK: 5, GroupBy: "region"}); err != nil {
 						t.Errorf("query: %v", err)
@@ -60,6 +91,7 @@ func TestConcurrentShardConsistency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	checkBoMTable(t, reg)
 
 	doc := reg.Summary()
 	if doc.Devices != reg.Len() {
@@ -84,6 +116,7 @@ func TestConcurrentShardConsistency(t *testing.T) {
 	if after.Devices != before.Devices || after.DistinctBoMs != before.DistinctBoMs {
 		t.Fatalf("recompute changed the device set: %+v vs %+v", after, before)
 	}
+	checkBoMTable(t, reg)
 	for _, d := range []struct {
 		name string
 		a, b float64
@@ -101,6 +134,8 @@ func TestConcurrentShardConsistency(t *testing.T) {
 // TestConcurrentWithSnapshot interleaves writers with snapshot/restore
 // cycles: every snapshot must be internally consistent (it restores
 // cleanly and re-snapshots byte-identically) no matter when it was cut.
+// Every fourth snapshot is also restored into the live registry under the
+// writers, whose BoM-table lookups then race the table's replacement.
 func TestConcurrentWithSnapshot(t *testing.T) {
 	reg := New(Config{Shards: 8})
 	stop := make(chan struct{})
@@ -139,7 +174,44 @@ func TestConcurrentWithSnapshot(t *testing.T) {
 		if !bytes.Equal(snap.Bytes(), again.Bytes()) {
 			t.Fatalf("snapshot %d not stable through restore", i)
 		}
+		if i%4 == 0 {
+			if _, err := reg.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()
+	checkBoMTable(t, reg)
+}
+
+// checkBoMTable holds the BoM table to the registered records: every
+// record points at the table's entry for its id, each entry counts its
+// devices, and each key counts its entries.
+func checkBoMTable(t *testing.T, r *Registry) {
+	t.Helper()
+	refs := map[*bom]int{}
+	for _, sh := range r.shards {
+		for _, rec := range sh.recs {
+			if r.boms.entries[rec.bom.id] != rec.bom {
+				t.Fatalf("device %s points at an entry the table does not hold", rec.id)
+			}
+			refs[rec.bom]++
+		}
+	}
+	perKey := map[string]int{}
+	for _, e := range r.boms.entries {
+		if e.refs != refs[e] {
+			t.Fatalf("entry %x counts %d devices, %d point at it", e.id[:4], e.refs, refs[e])
+		}
+		perKey[e.key]++
+	}
+	if len(perKey) != len(r.boms.keys) {
+		t.Fatalf("table holds %d keys, its entries have %d", len(r.boms.keys), len(perKey))
+	}
+	for key, k := range r.boms.keys {
+		if k.entries != perKey[key] {
+			t.Fatalf("key counts %d entries, %d have it", k.entries, perKey[key])
+		}
+	}
 }

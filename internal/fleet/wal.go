@@ -111,7 +111,7 @@ func (r *Registry) applyFrame(ctx context.Context, payload []byte) error {
 	op, body := payload[0], payload[1:]
 	switch op {
 	case opUpsert:
-		rec, err := decodeRecord(&reader{r: bytes.NewReader(body)})
+		rec, err := decodeRecord(&reader{r: bytes.NewReader(body)}, &r.boms)
 		if err != nil {
 			return err
 		}

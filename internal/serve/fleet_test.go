@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -417,5 +418,45 @@ func TestFleetDegradedEndToEnd(t *testing.T) {
 	defer s2.CloseFleet()
 	if got := fleetSummaryBody(t, ts2.URL); !bytes.Equal(got, want) {
 		t.Fatal("state diverged across the degrade/heal/restart episode")
+	}
+}
+
+// TestFleetSummaryTopBeyondFleet asks for top=MaxInt32 on a three-device
+// fleet: the query bounds its buffers by the fleet, not by top, and
+// answers 200 with every device in rank order.
+func TestFleetSummaryTopBeyondFleet(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	body := strings.Join([]string{
+		fleetLine(t, "a", 10, "united-states"),
+		fleetLine(t, "b", 20, "europe"),
+		fleetLine(t, "c", 30, "india"),
+	}, "\n")
+	if resp := ingestFleet(t, ts.URL, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", resp.StatusCode)
+	}
+	get, err := http.Get(fmt.Sprintf("%s/v1/fleet/summary?top=%d", ts.URL, math.MaxInt32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer get.Body.Close()
+	if get.StatusCode != http.StatusOK {
+		t.Fatalf("summary status = %d, want 200", get.StatusCode)
+	}
+	var doc struct {
+		Top []struct {
+			ID     string  `json:"id"`
+			TotalG float64 `json:"total_g"`
+		} `json:"top"`
+	}
+	if err := json.NewDecoder(get.Body).Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Top) != 3 {
+		t.Fatalf("top lists %d devices, want all 3", len(doc.Top))
+	}
+	for i := 1; i < len(doc.Top); i++ {
+		if doc.Top[i-1].TotalG < doc.Top[i].TotalG {
+			t.Fatalf("top out of order: %+v", doc.Top)
+		}
 	}
 }
