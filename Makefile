@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-json bench-export bench-script bench-cluster run-actd clean
+.PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-export bench-script bench-cluster run-actd clean
 
 all: build
 
@@ -18,9 +18,11 @@ test:
 # is a module of its own (built against this tree through its replace
 # directive), so it is vetted from inside it: a change to a package the
 # benchmark replays fails here, not in the benchmark run. gofmt -l lists
-# every file whose layout drifts from gofmt's; any listing fails.
+# every file whose layout drifts from gofmt's; any listing fails. sh -n
+# parses every script, so a syntax slip fails here, not in a bench run.
 verify: build
 	@drift="$$($(GOFMT) -l .)"; if [ -n "$$drift" ]; then echo "gofmt drift:"; echo "$$drift"; exit 1; fi
+	@for f in scripts/*.sh; do sh -n "$$f" || exit 1; done
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) test ./...
@@ -105,55 +107,60 @@ verify-chaos:
 verify-crash:
 	$(GO) test -race -tags faultinject -run 'TestCrash|TestStore|FuzzWALSegmentReplay' ./internal/fleet/ ./internal/vfs/
 
+# Benchmarks. Every target is one call of scripts/bench.sh, which runs
+# `go test -run '^$' -benchmem` with the target's arguments and exits with
+# its status. Ratios and bounds live in the Go benchmarks themselves
+# (b.ReportMetric, b.Fatal). Nothing is recorded unless BENCH=<n> is set;
+# then the run is also written to BENCH_<n>.json (act-bench/1), and an
+# existing file is never overwritten, e.g. `make bench-script BENCH=18`.
+BENCH ?=
+BENCHSH = GO=$(GO) ./scripts/bench.sh "$(BENCH)"
+
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(BENCHSH) -bench . ./...
 
 # The service-cache acceptance pair: a single-object request's evaluation
 # (a one-element batch through the columnar path), cached vs cold; cached
-# must be >=10x cheaper.
+# must be >=10x cheaper (read from the two ns/op, not asserted).
 bench-cache:
-	$(GO) test -run XXX -bench 'Footprint(Cold|Cached)' -benchmem ./internal/serve/
+	$(BENCHSH) -bench 'Footprint(Cold|Cached)' ./internal/serve/
 
 # Fleet benchmarks: builds a one-million-device registry and reports the
 # summary, grouped summary and top-K costs beside per-device ingest, and
 # ingest time and heap per device for shared, unique and respelled BoMs
-# (BenchmarkFleetIngestBoMs). It asserts nothing: the <10ms summary bound
-# is read from its output. The summary's zero allocations are asserted in
-# tier-1 by TestSummaryZeroAllocs.
+# (BenchmarkFleetIngestBoMs), plus a full reprice (FleetRecompute, seconds
+# per op). It asserts nothing: the <10ms summary bound is read from its
+# output. The summary's zero allocations are asserted in tier-1 by
+# TestSummaryZeroAllocs.
 bench-fleet:
-	$(GO) test -run XXX -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK)' -benchmem ./internal/fleet/
+	$(BENCHSH) -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK|Recompute)' ./internal/fleet/
 
 # The columnar-engine acceptance pair: the colbatch sweep must beat the
-# frozen scalar cold baseline in scripts/bench_json.sh by >=10x per
-# scenario at zero allocs. FootprintCold times a single-object request,
-# now a one-element columnar batch, beside the 512-scenario batch.
+# frozen scalar cold baseline (colbatch.PreColumnarColdNS) by >=10x per
+# scenario; speedup_vs_baseline reports it, nothing asserts it.
+# FootprintCold times a single-object request, now a one-element columnar
+# batch, beside the 512-scenario batch.
 bench-batch:
-	$(GO) test -run XXX -bench 'ColBatch' -benchmem ./internal/colbatch/
-	$(GO) test -run XXX -bench 'Footprint(Cold|BatchColumnar)' -benchmem ./internal/serve/
+	$(BENCHSH) -bench 'ColBatch|Footprint(Cold|BatchColumnar)' ./internal/colbatch/ ./internal/serve/
 
-# Machine-readable benchmark snapshot: runs the footprint, fleet and
-# columnar suites and writes BENCH_6.json at the repo root.
-bench-json:
-	./scripts/bench_json.sh
-
-# Exporter acceptance snapshot: the million-device telemetry tick
-# (lines/sec, payload size, end-to-end flush latency vs the 10s push
-# interval), written to BENCH_7.json at the repo root.
+# Exporter acceptance: the million-device telemetry tick (lines/s, payload
+# size, end-to-end flush latency and its interval_headroom against the
+# exporter's default push interval). Recorded as BENCH_7.json.
 bench-export:
-	./scripts/bench_export.sh
+	$(BENCHSH) -bench 'Export(Emit|Flush)1M' -benchtime 10x -timeout 600s ./internal/export/
 
-# Scripting sandbox overhead snapshot: the same 1000-scenario sweep
-# priced through a script program versus the direct colbatch path,
-# written to BENCH_9.json at the repo root.
+# Scripting sandbox overhead: the 1000-scenario sweep priced through a
+# script program, reporting script_overhead_x against the direct colbatch
+# path. Recorded as BENCH_9.json.
 bench-script:
-	./scripts/bench_script.sh
+	$(BENCHSH) -bench 'Sweep1k$$' ./internal/script/
 
-# Cluster acceptance snapshot: the 1M-device scatter-gather summary on a
-# 3-member in-process cluster versus the same fleet on one node, written
-# to BENCH_10.json at the repo root. Fails if cluster costs more than
-# 10x single-node.
+# Cluster acceptance: the 1M-device scatter-gather summary on a 3-member
+# in-process cluster versus the same fleet on one node (setup takes about
+# a minute). BenchmarkClusterVsSingle1M fails, and so does this target,
+# when cluster_vs_single exceeds 10. Recorded as BENCH_10.json.
 bench-cluster:
-	./scripts/bench_cluster.sh
+	$(BENCHSH) -bench '1M$$' -benchtime 1000x -timeout 900s ./internal/cluster/
 
 run-actd:
 	$(GO) run ./cmd/actd -addr :8080

@@ -34,6 +34,14 @@ import (
 // resolution cache warm-up, small enough to keep the pool busy.
 const DefaultChunk = 256
 
+// PreColumnarColdNS is the frozen scalar baseline the columnar engine's
+// >=10x target is measured against: one cold single-scenario footprint
+// (BenchmarkFootprintCold) cost 22975 ns, 8841 B and 54 allocs at the
+// commit before this engine landed (go1.24 linux/amd64, Intel Xeon @
+// 2.10 GHz; recorded in BENCH_6.json as baseline_pre_columnar). The
+// columnar benchmarks report speedup_vs_baseline against it.
+const PreColumnarColdNS = 22975
+
 // maxPooledItems caps the batch capacity returned to the pool so one
 // outsized request cannot pin its columns forever.
 const maxPooledItems = 8192

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"act/internal/acterr"
+	"act/internal/prom"
 )
 
 // exporterControl is the slice of the exporter the config API drives. An
@@ -35,7 +36,7 @@ func (s *Server) AttachExporter(e exporterControl) {
 // MetricsRegistry exposes the server's instrument registry so sidecar
 // subsystems (the telemetry exporter) register self-metrics into the same
 // /metrics exposition.
-func (s *Server) MetricsRegistry() *Registry { return s.reg }
+func (s *Server) MetricsRegistry() *prom.Registry { return s.reg }
 
 // exportConfigJSON is the versioned config document GET returns and PUT
 // accepts (URLs are read-only: delivery targets are a deployment decision,

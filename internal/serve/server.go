@@ -54,6 +54,7 @@ import (
 
 	"act/internal/cluster"
 	"act/internal/fleet"
+	"act/internal/prom"
 	"act/internal/resilience"
 )
 
@@ -152,7 +153,7 @@ type Server struct {
 	cfg      Config
 	log      *slog.Logger
 	cache    *Cache[json.RawMessage]
-	reg      *Registry
+	reg      *prom.Registry
 	mux      *http.ServeMux
 	httpSrv  *http.Server
 	draining atomic.Bool
@@ -166,27 +167,27 @@ type Server struct {
 	compactor  *fleetCompactor                 // nil unless OpenFleet started one
 	cluster    atomic.Pointer[cluster.Cluster] // nil until EnableCluster
 
-	mRequests     *CounterVec // actd_requests_total{handler,code}
-	mLatency      *Histogram  // actd_request_duration_seconds
-	mCacheHits    *Counter    // actd_cache_hits_total
-	mCacheMisses  *Counter    // actd_cache_misses_total
-	mInflight     *Gauge      // actd_inflight_requests
-	mPoolDepth    *Gauge      // actd_pool_depth
-	mScenarios    *Counter    // actd_scenarios_total
-	mShed         *CounterVec // actd_shed_total{reason}
-	mRetries      *Counter    // actd_retries_total
-	mBreakerState *GaugeVec   // actd_breaker_state{handler}
+	mRequests     *prom.CounterVec // actd_requests_total{handler,code}
+	mLatency      *prom.Histogram  // actd_request_duration_seconds
+	mCacheHits    *prom.Counter    // actd_cache_hits_total
+	mCacheMisses  *prom.Counter    // actd_cache_misses_total
+	mInflight     *prom.Gauge      // actd_inflight_requests
+	mPoolDepth    *prom.Gauge      // actd_pool_depth
+	mScenarios    *prom.Counter    // actd_scenarios_total
+	mShed         *prom.CounterVec // actd_shed_total{reason}
+	mRetries      *prom.Counter    // actd_retries_total
+	mBreakerState *prom.GaugeVec   // actd_breaker_state{handler}
 
-	mFleetIngest    *CounterVec // actd_fleet_ingest_total{code}
-	mFleetRecompute *Histogram  // actd_fleet_recompute_seconds
-	mEncodeErrors   *Counter    // actd_response_encode_errors_total
+	mFleetIngest    *prom.CounterVec // actd_fleet_ingest_total{code}
+	mFleetRecompute *prom.Histogram  // actd_fleet_recompute_seconds
+	mEncodeErrors   *prom.Counter    // actd_response_encode_errors_total
 
-	mClusterPeerState *GaugeVec   // actd_cluster_peer_breaker_state{peer}
-	mClusterScatter   *CounterVec // actd_cluster_scatter_total{outcome}
+	mClusterPeerState *prom.GaugeVec   // actd_cluster_peer_breaker_state{peer}
+	mClusterScatter   *prom.CounterVec // actd_cluster_scatter_total{outcome}
 
-	mScriptEvals    *CounterVec // actd_script_evals_total{code}
-	mScriptSteps    *Histogram  // actd_script_steps
-	mScriptDuration *Histogram  // actd_script_duration_seconds
+	mScriptEvals    *prom.CounterVec // actd_script_evals_total{code}
+	mScriptSteps    *prom.Histogram  // actd_script_steps
+	mScriptDuration *prom.Histogram  // actd_script_duration_seconds
 
 	exporter         exporterControl // nil unless AttachExporter
 	exportCfgVersion atomic.Int64
@@ -200,7 +201,7 @@ func New(cfg Config) *Server {
 		cfg:    cfg,
 		log:    cfg.Logger,
 		cache:  NewCache[json.RawMessage](cfg.CacheSize),
-		reg:    NewRegistry(),
+		reg:    prom.NewRegistry(),
 		mux:    http.NewServeMux(),
 		reqIDs: newReqIDSource(),
 	}
@@ -212,7 +213,7 @@ func New(cfg Config) *Server {
 	s.mRequests = s.reg.NewCounterVec("actd_requests_total",
 		"API requests served, by handler and HTTP status code.", "handler", "code")
 	s.mLatency = s.reg.NewHistogram("actd_request_duration_seconds",
-		"API request latency in seconds.", DefaultLatencyBuckets)
+		"API request latency in seconds.", prom.DefaultLatencyBuckets)
 	s.mCacheHits = s.reg.NewCounter("actd_cache_hits_total",
 		"Scenario evaluations answered from the footprint cache.")
 	s.mCacheMisses = s.reg.NewCounter("actd_cache_misses_total",
@@ -266,7 +267,7 @@ func New(cfg Config) *Server {
 	s.mFleetIngest = s.reg.NewCounterVec("actd_fleet_ingest_total",
 		"Fleet ingest outcomes, by device disposition.", "code")
 	s.mFleetRecompute = s.reg.NewHistogram("actd_fleet_recompute_seconds",
-		"Latency of full fleet recomputations in seconds.", DefaultLatencyBuckets)
+		"Latency of full fleet recomputations in seconds.", prom.DefaultLatencyBuckets)
 	s.mEncodeErrors = s.reg.NewCounter("actd_response_encode_errors_total",
 		"Response bodies that failed to encode after the status line was committed.")
 	s.mClusterPeerState = s.reg.NewGaugeVec("actd_cluster_peer_breaker_state",
@@ -279,7 +280,7 @@ func New(cfg Config) *Server {
 		"Evaluator steps consumed per successful script.",
 		[]float64{100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000})
 	s.mScriptDuration = s.reg.NewHistogram("actd_script_duration_seconds",
-		"Sandboxed script evaluation latency in seconds.", DefaultLatencyBuckets)
+		"Sandboxed script evaluation latency in seconds.", prom.DefaultLatencyBuckets)
 
 	if cfg.MaxInFlight > 0 {
 		s.admit = resilience.NewAdmission(resilience.AdmissionConfig{
