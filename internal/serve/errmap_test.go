@@ -174,35 +174,98 @@ func TestErrorContractAllRoutes(t *testing.T) {
 		{"export-put-unknown-field", "PUT", "/v1/export/config", `{"version":1,"interval_ms":1000,"bogus":true}`, http.StatusBadRequest, codeInvalidArgument, ""},
 		{"export-put-stale-version", "PUT", "/v1/export/config", `{"version":99,"interval_ms":1000}`, http.StatusConflict, codeConflict, "version"},
 	}
+	// do sends one row's request and checks the envelope it gets back.
+	do := func(t *testing.T, base, method, path, reqBody string, wantCode int, wantClass, wantField string) errorDetail {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, strings.NewReader(reqBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := readAll(t, resp)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, wantCode, data)
+		}
+		e := decodeError(t, []byte(data))
+		if e.Code != wantClass {
+			t.Errorf("error code = %q, want %q", e.Code, wantClass)
+		}
+		if e.Field != wantField {
+			t.Errorf("field = %q, want %q", e.Field, wantField)
+		}
+		if e.RequestID == "" {
+			t.Error("error body missing request_id")
+		}
+		return e
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			var body *strings.Reader
-			if c.body != "" {
-				body = strings.NewReader(c.body)
-			} else {
-				body = strings.NewReader("")
-			}
-			req, err := http.NewRequest(c.method, ts.URL+c.path, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := readAll(t, resp)
-			if resp.StatusCode != c.wantCode {
-				t.Fatalf("status = %d, want %d (body %.200s)", resp.StatusCode, c.wantCode, data)
-			}
-			e := decodeError(t, []byte(data))
-			if e.Code != c.wantClass {
-				t.Errorf("error code = %q, want %q", e.Code, c.wantClass)
-			}
-			if e.Field != c.wantField {
-				t.Errorf("field = %q, want %q", e.Field, c.wantField)
-			}
-			if e.RequestID == "" {
-				t.Error("error body missing request_id")
+			do(t, ts.URL, c.method, c.path, c.body, c.wantCode, c.wantClass, c.wantField)
+		})
+	}
+
+	// The rows below also pin the message. "main" is the server above
+	// (exporter attached, cluster mode off); "member" is a one-member
+	// cluster with no exporter and a 1000-step script budget.
+	member, memberTS := newTestServer(t, Config{MaxBatch: 3, MaxBodyBytes: 4096, ScriptMaxSteps: 1000})
+	if err := member.EnableCluster(ClusterConfig{Self: memberTS.URL, Peers: []string{memberTS.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	bases := map[string]string{"main": ts.URL, "member": memberTS.URL}
+	cand := `{"name":"a","embodied_g":1,"energy_j":1,"delay_s":1}`
+	pad := strings.Repeat("x", 8192)
+	more := []struct {
+		name, srv, method, path, body string
+		wantCode                      int
+		wantClass, wantField, wantMsg string
+	}{
+		{"script-empty-source", "main", "POST", "/v1/script", `{"source":""}`, http.StatusBadRequest, codeInvalidArgument, "source",
+			"invalid spec field source: a program is required"},
+		{"script-unknown-field", "main", "POST", "/v1/script", `{"source":"1","bogus":true}`, http.StatusBadRequest, codeInvalidArgument, "",
+			`parsing script request: json: unknown field "bogus"`},
+		{"script-parse-error", "main", "POST", "/v1/script", `{"source":"let = 3"}`, http.StatusBadRequest, codeInvalidScript, "",
+			`script:1:5: expected variable name after let, found "="`},
+		{"script-step-budget", "member", "POST", "/v1/script", `{"source":"let n = 0\nfor i in range(1000000) { n = n + 1 }\nn"}`, http.StatusBadRequest, codeScriptBudget, "",
+			"script budget exhausted: steps limit 1000 reached"},
+		{"script-over-max", "main", "POST", "/v1/script", `{"source":"` + pad + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge, "",
+			"request body exceeds 4096 bytes"},
+		{"sweep-no-candidates", "main", "POST", "/v1/sweep", `{"rank":["CDP"]}`, http.StatusBadRequest, codeInvalidArgument, "candidates",
+			"invalid spec field candidates: at least one candidate is required"},
+		{"sweep-asks-nothing", "main", "POST", "/v1/sweep", `{"candidates":[` + cand + `]}`, http.StatusBadRequest, codeInvalidArgument, "rank",
+			`invalid spec field rank: request asks for nothing: set "rank" and/or "pareto"`},
+		{"sweep-unknown-metric", "main", "POST", "/v1/sweep", `{"candidates":[` + cand + `],"rank":["XYZ"]}`, http.StatusBadRequest, codeInvalidArgument, "rank",
+			`invalid spec field rank: metrics: unknown metric "XYZ"`},
+		{"sweep-one-pareto-axis", "main", "POST", "/v1/sweep", `{"candidates":[` + cand + `],"pareto":["energy"]}`, http.StatusBadRequest, codeInvalidArgument, "pareto",
+			"invalid spec field pareto: a Pareto frontier needs at least two objectives, got 1"},
+		{"sweep-unknown-axis", "main", "POST", "/v1/sweep", `{"candidates":[` + cand + `],"pareto":["energy","beauty"]}`, http.StatusBadRequest, codeInvalidArgument, "pareto[1]",
+			`invalid spec field pareto[1]: unknown objective "beauty" (want embodied, energy, delay or area)`},
+		{"cluster-partial-off", "main", "GET", "/v1/cluster/partial", "", http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
+		{"cluster-snapshot-off", "main", "GET", "/v1/cluster/snapshot", "", http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
+		{"cluster-prepare-off", "main", "POST", "/v1/cluster/recompute/prepare", `{"epoch":1}`, http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
+		{"cluster-commit-off", "main", "POST", "/v1/cluster/recompute/commit", `{"epoch":1}`, http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
+		{"cluster-abort-off", "main", "POST", "/v1/cluster/recompute/abort", `{"epoch":1}`, http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
+		{"cluster-prepare-malformed", "member", "POST", "/v1/cluster/recompute/prepare", `{`, http.StatusBadRequest, codeInvalidArgument, "", "unexpected EOF"},
+		{"cluster-commit-malformed", "member", "POST", "/v1/cluster/recompute/commit", `not json`, http.StatusBadRequest, codeInvalidArgument, "",
+			"invalid character 'o' in literal null (expecting 'u')"},
+		{"cluster-abort-malformed", "member", "POST", "/v1/cluster/recompute/abort", `{"epoch":-1}`, http.StatusBadRequest, codeInvalidArgument, "",
+			"json: cannot unmarshal number -1 into Go struct field .epoch of type uint64"},
+		{"cluster-partial-top-not-a-number", "member", "GET", "/v1/cluster/partial?top=x", "", http.StatusBadRequest, codeInvalidArgument, "top",
+			`cannot parse top-K "x"`},
+		{"cluster-partial-by-unknown", "member", "GET", "/v1/cluster/partial?by=color", "", http.StatusBadRequest, codeInvalidArgument, "by",
+			`unknown group dimension "color"`},
+		{"export-get-no-exporter", "member", "GET", "/v1/export/config", "", http.StatusNotFound, codeNotFound, "",
+			"telemetry export is not configured on this server"},
+		{"export-put-no-exporter", "member", "PUT", "/v1/export/config", `{"version":1,"interval_ms":1000}`, http.StatusNotFound, codeNotFound, "",
+			"telemetry export is not configured on this server"},
+	}
+	for _, c := range more {
+		t.Run(c.name, func(t *testing.T) {
+			e := do(t, bases[c.srv], c.method, c.path, c.body, c.wantCode, c.wantClass, c.wantField)
+			if e.Message != c.wantMsg {
+				t.Errorf("message = %q, want %q", e.Message, c.wantMsg)
 			}
 		})
 	}
