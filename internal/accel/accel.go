@@ -290,7 +290,7 @@ func Candidates(designs []Design) ([]metrics.Candidate, error) {
 // same input-preserving order — for any worker count; workers ≤ 0 selects
 // GOMAXPROCS.
 func CandidatesParallel(ctx context.Context, workers int, designs []Design) ([]metrics.Candidate, error) {
-	return parsweep.MapErr(ctx, workers, designs, func(_ context.Context, _ int, d Design) (metrics.Candidate, error) {
+	return parsweep.MapErrCtx(ctx, workers, designs, func(_ context.Context, _ int, d Design) (metrics.Candidate, error) {
 		return d.Candidate()
 	})
 }

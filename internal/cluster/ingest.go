@@ -1,6 +1,6 @@
-// Ingest scatter. The coordinator decodes the request stream exactly the
-// way the registry's own IngestNDJSON does (a json.Decoder over any
-// concatenation of JSON objects), routes every record to its owning
+// Ingest scatter. The coordinator frames the request stream with the
+// registry's own reader (fleet.ReadNDJSON, so both classify a malformed
+// or oversized stream alike), routes every record to its owning
 // member — shard-grain placement, so all records of one global shard go
 // to one owner and apply there in stream order, the same per-shard apply
 // order the single registry would use — and ships each member its
@@ -42,34 +42,11 @@ type ingestBatch struct {
 // per-member results. maxDevices bounds the whole stream, like the
 // registry's own limit.
 func (c *Cluster) Ingest(ctx context.Context, rd io.Reader, maxDevices int) (fleet.IngestResult, error) {
-	var (
-		raws      [][]byte
-		streamErr error
-	)
-	dec := json.NewDecoder(rd)
-	for i := 0; ; i++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// Mirror the registry's decode-error taxonomy so the HTTP layer
-			// classifies scattered and local ingest identically.
-			var syn *json.SyntaxError
-			if errors.As(err, &syn) || errors.Is(err, io.ErrUnexpectedEOF) {
-				streamErr = fmt.Errorf("fleet: %w",
-					acterr.Prefix(fmt.Sprintf("device[%d]", i), acterr.Invalid("", "malformed JSON: %v", err)))
-			} else {
-				streamErr = fmt.Errorf("fleet: device[%d]: %w", i, err)
-			}
-			break
-		}
-		if maxDevices > 0 && i >= maxDevices {
-			streamErr = fmt.Errorf("fleet: %w: limit %d", fleet.ErrTooMany, maxDevices)
-			break
-		}
+	var raws [][]byte
+	streamErr := fleet.ReadNDJSON(rd, maxDevices, func(_ int, raw json.RawMessage) error {
 		raws = append(raws, raw)
-	}
+		return nil
+	})
 
 	// Everything decoded before a stream fault still applies — the same
 	// "applied records stay applied" contract the registry keeps.

@@ -59,7 +59,7 @@ type Result struct {
 // selects GOMAXPROCS.
 func RunAll(ctx context.Context, workers int) ([]Result, error) {
 	all := All()
-	tables, err := parsweep.MapErr(ctx, workers, all, func(_ context.Context, _ int, e Experiment) ([]*report.Table, error) {
+	tables, err := parsweep.MapErrCtx(ctx, workers, all, func(_ context.Context, _ int, e Experiment) ([]*report.Table, error) {
 		ts, err := e.Run()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", e.ID, err)

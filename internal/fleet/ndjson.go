@@ -171,36 +171,51 @@ type IngestResult struct {
 // ErrTooMany wrapped with the limit.
 func (r *Registry) IngestNDJSON(rd io.Reader, maxDevices int) (IngestResult, error) {
 	var res IngestResult
+	err := ReadNDJSON(rd, maxDevices, func(i int, raw json.RawMessage) error {
+		dev, err := ParseDevice(raw)
+		if err != nil {
+			return prefixRecord(i, err)
+		}
+		replaced, err := r.Upsert(*dev)
+		if err != nil {
+			return prefixRecord(i, err)
+		}
+		res.Upserted++
+		if replaced {
+			res.Replaced++
+		}
+		return nil
+	})
+	return res, err
+}
+
+// ReadNDJSON frames a device stream — any concatenation of JSON values,
+// newline-separated or not — and calls fn with each record's zero-based
+// index and raw bytes, in order, until the stream ends or fn fails. Each
+// raw is its own copy. A malformed record is a typed validation error
+// rooted at "device[i]"; an IO-class failure (a read fault, a body-size
+// limit) keeps its type so callers can classify it; a record past a
+// positive maxDevices is ErrTooMany wrapped with the limit.
+func ReadNDJSON(rd io.Reader, maxDevices int, fn func(i int, raw json.RawMessage) error) error {
 	dec := json.NewDecoder(rd)
 	for i := 0; ; i++ {
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
 			if errors.Is(err, io.EOF) {
-				return res, nil
+				return nil
 			}
 			var syn *json.SyntaxError
 			if errors.As(err, &syn) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return res, fmt.Errorf("fleet: %w",
+				return fmt.Errorf("fleet: %w",
 					acterr.Prefix(fmt.Sprintf("device[%d]", i), acterr.Invalid("", "malformed JSON: %v", err)))
 			}
-			// An IO-class failure (a read fault, a body-size limit) is not the
-			// stream's syntax; keep its type so callers can classify it.
-			return res, fmt.Errorf("fleet: device[%d]: %w", i, err)
+			return fmt.Errorf("fleet: device[%d]: %w", i, err)
 		}
 		if maxDevices > 0 && i >= maxDevices {
-			return res, fmt.Errorf("fleet: %w: limit %d", ErrTooMany, maxDevices)
+			return fmt.Errorf("fleet: %w: limit %d", ErrTooMany, maxDevices)
 		}
-		dev, err := ParseDevice(raw)
-		if err != nil {
-			return res, prefixRecord(i, err)
-		}
-		replaced, err := r.Upsert(*dev)
-		if err != nil {
-			return res, prefixRecord(i, err)
-		}
-		res.Upserted++
-		if replaced {
-			res.Replaced++
+		if err := fn(i, raw); err != nil {
+			return err
 		}
 	}
 }

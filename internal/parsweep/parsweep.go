@@ -61,13 +61,6 @@ func MapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx c
 	})
 }
 
-// MapErr applies fn to every item on a bounded worker pool and returns the
-// results in input order. It is MapErrCtx under its historical name; see
-// MapErrCtx for the error and cancellation contract.
-func MapErr[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return MapErrCtx(ctx, workers, items, fn)
-}
-
 // MapErrCtx applies fn to every item on a bounded worker pool and returns
 // the results in input order. The first failure (lowest item index among
 // the errors observed) cancels the context passed to in-flight calls,

@@ -52,7 +52,7 @@ func TestMapMatchesSequential(t *testing.T) {
 
 func TestMapErrSuccess(t *testing.T) {
 	items := []string{"a", "bb", "ccc"}
-	got, err := MapErr(context.Background(), 2, items, func(_ context.Context, i int, s string) (int, error) {
+	got, err := MapErrCtx(context.Background(), 2, items, func(_ context.Context, i int, s string) (int, error) {
 		return i + len(s), nil
 	})
 	if err != nil {
@@ -67,7 +67,7 @@ func TestMapErrSuccess(t *testing.T) {
 }
 
 func TestMapErrEmptyAndNegative(t *testing.T) {
-	got, err := MapErr(context.Background(), 4, nil, func(_ context.Context, i int, s string) (int, error) {
+	got, err := MapErrCtx(context.Background(), 4, nil, func(_ context.Context, i int, s string) (int, error) {
 		return 0, nil
 	})
 	if err != nil || len(got) != 0 {
@@ -85,7 +85,7 @@ func TestMapErrCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	items := make([]int, 1000)
 	var started sync.Map
-	_, err := MapErr(context.Background(), 4, items, func(ctx context.Context, i int, _ int) (int, error) {
+	_, err := MapErrCtx(context.Background(), 4, items, func(ctx context.Context, i int, _ int) (int, error) {
 		started.Store(i, true)
 		if i == 3 {
 			return 0, boom
@@ -116,7 +116,7 @@ func TestMapErrCancellation(t *testing.T) {
 // always the one reported.
 func TestMapErrLowestIndexWins(t *testing.T) {
 	items := make([]int, 10)
-	_, err := MapErr(context.Background(), 1, items, func(_ context.Context, i int, _ int) (int, error) {
+	_, err := MapErrCtx(context.Background(), 1, items, func(_ context.Context, i int, _ int) (int, error) {
 		if i >= 4 {
 			return 0, fmt.Errorf("fail-%d", i)
 		}
@@ -130,7 +130,7 @@ func TestMapErrLowestIndexWins(t *testing.T) {
 func TestMapErrParentContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := MapErr(ctx, 2, make([]int, 100), func(ctx context.Context, i int, _ int) (int, error) {
+	_, err := MapErrCtx(ctx, 2, make([]int, 100), func(ctx context.Context, i int, _ int) (int, error) {
 		return i, nil
 	})
 	if err == nil {

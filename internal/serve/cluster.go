@@ -14,15 +14,14 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 
-	"act/internal/acterr"
 	"act/internal/cluster"
 	"act/internal/fleet"
 	"act/internal/report"
+	"act/internal/reqid"
 	"act/internal/resilience"
 )
 
@@ -104,84 +103,53 @@ func (s *Server) writePartialSummary(w http.ResponseWriter, r *http.Request, doc
 		Error: errorDetail{
 			Code:      codePartial,
 			Message:   fmt.Sprintf("summary folded without %d unreachable member(s): %v", len(missing), missing),
-			RequestID: RequestIDFrom(r.Context()),
+			RequestID: reqid.From(r.Context()),
 		},
 		Summary: doc,
 	})
-}
-
-// writeClusterError classifies a cluster-path failure: typed conflicts
-// are 409, transient faults (dead peers, open breakers, injected chaos)
-// are 503 unavailable, everything else takes the standard taxonomy.
-func (s *Server) writeClusterError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case cluster.IsConflict(err):
-		s.writeErrorCode(w, r, http.StatusConflict, codeConflict, "", err.Error())
-	case errors.Is(err, cluster.ErrEpochMixed):
-		s.writeErrorCode(w, r, http.StatusServiceUnavailable, codeUnavailable, "", err.Error())
-	case acterr.IsTransient(err):
-		s.writeErrorCode(w, r, http.StatusServiceUnavailable, codeUnavailable, "", err.Error())
-	default:
-		s.writeError(w, r, err)
-	}
-}
-
-// requireCluster 404s the private inter-node routes while cluster mode
-// is off.
-func (s *Server) requireCluster(w http.ResponseWriter, r *http.Request) *cluster.Cluster {
-	c := s.cluster.Load()
-	if c == nil {
-		s.writeErrorCode(w, r, http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled")
-	}
-	return c
 }
 
 // handleClusterPartial serves this node's scatter-gather contribution:
 // GET /v1/cluster/partial?top=K&by=DIM. The partial carries only the
 // group dimension named by `by` — the fold reads exactly one, so the
 // coordinator asks for exactly one.
-func (s *Server) handleClusterPartial(w http.ResponseWriter, r *http.Request) {
-	c := s.requireCluster(w, r)
+func (s *Server) handleClusterPartial(w http.ResponseWriter, r *http.Request) error {
+	c := s.cluster.Load()
 	if c == nil {
-		return
+		return errClusterOff
 	}
 	topK := 0
 	if v := r.URL.Query().Get("top"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "top",
-				fmt.Sprintf("cannot parse top-K %q", v))
-			return
+			return newAPIError(http.StatusBadRequest, codeInvalidArgument, "top", fmt.Sprintf("cannot parse top-K %q", v))
 		}
 		topK = n
 	}
 	groupBy := r.URL.Query().Get("by")
 	if err := (fleet.Query{GroupBy: groupBy}).Validate(); err != nil {
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "by",
-			fmt.Sprintf("unknown group dimension %q", groupBy))
-		return
+		return newAPIError(http.StatusBadRequest, codeInvalidArgument, "by", fmt.Sprintf("unknown group dimension %q", groupBy))
 	}
 	p, err := c.LocalPartial(topK, groupBy)
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, p)
+	return nil
 }
 
 // handleClusterSnapshot ships this node's full fleet state inside the
 // durable-store envelope — the node-replacement transfer. With a store
 // mounted it checkpoints first so the shipped WAL floor is honest.
-func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
-	c := s.requireCluster(w, r)
+func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) error {
+	c := s.cluster.Load()
 	if c == nil {
-		return
+		return errClusterOff
 	}
 	var floor uint64
 	if st := s.fleetStore.Load(); st != nil {
 		if err := s.CheckpointFleet(); err != nil {
-			s.writeError(w, r, err)
-			return
+			return err
 		}
 		floor = st.Floor()
 	}
@@ -191,88 +159,71 @@ func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
 		// The status line is committed; all we can do is count and log.
 		s.mEncodeErrors.Inc()
 		s.log.Warn("cluster snapshot ship failed mid-stream",
-			"request_id", RequestIDFrom(r.Context()), "error", err)
+			"request_id", reqid.From(r.Context()), "error", err)
 	}
+	return nil
 }
 
-// clusterRecomputeBody decodes the prepare/commit/abort control message.
-func clusterRecomputeBody(r *http.Request) (epoch, fingerprint uint64, err error) {
+// clusterControl runs one prepare/commit/abort step on this member: it
+// decodes the control message from the bounded body and answers
+// {"<done>": epoch} when step succeeds.
+func (s *Server) clusterControl(w http.ResponseWriter, r *http.Request, done string,
+	step func(c *cluster.Cluster, epoch, fingerprint uint64) error) error {
+	c := s.cluster.Load()
+	if c == nil {
+		return errClusterOff
+	}
 	var msg struct {
 		Epoch       uint64 `json:"epoch"`
 		Fingerprint uint64 `json:"fingerprint"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-		return 0, 0, err
+	if err := json.NewDecoder(s.body(w, r)).Decode(&msg); err != nil {
+		return badRequest(err)
 	}
-	return msg.Epoch, msg.Fingerprint, nil
+	if err := step(c, msg.Epoch, msg.Fingerprint); err != nil {
+		return onClusterPath(err)
+	}
+	writeJSON(w, http.StatusOK, map[string]any{done: msg.Epoch})
+	return nil
 }
 
 // handleClusterPrepare stages a repricing: phase one of the two-phase
 // recompute.
-func (s *Server) handleClusterPrepare(w http.ResponseWriter, r *http.Request) {
-	c := s.requireCluster(w, r)
-	if c == nil {
-		return
-	}
-	epoch, fp, err := clusterRecomputeBody(r)
-	if err != nil {
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "", err.Error())
-		return
-	}
-	if err := c.PrepareLocal(r.Context(), epoch, fp); err != nil {
-		s.writeClusterError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"prepared": epoch})
+func (s *Server) handleClusterPrepare(w http.ResponseWriter, r *http.Request) error {
+	return s.clusterControl(w, r, "prepared", func(c *cluster.Cluster, epoch, fp uint64) error {
+		return c.PrepareLocal(r.Context(), epoch, fp)
+	})
 }
 
 // handleClusterCommit installs a staged repricing: phase two.
-func (s *Server) handleClusterCommit(w http.ResponseWriter, r *http.Request) {
-	c := s.requireCluster(w, r)
-	if c == nil {
-		return
-	}
-	epoch, _, err := clusterRecomputeBody(r)
-	if err != nil {
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "", err.Error())
-		return
-	}
-	if err := c.CommitLocal(r.Context(), epoch); err != nil {
-		s.writeClusterError(w, r, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"committed": epoch})
+func (s *Server) handleClusterCommit(w http.ResponseWriter, r *http.Request) error {
+	return s.clusterControl(w, r, "committed", func(c *cluster.Cluster, epoch, _ uint64) error {
+		return c.CommitLocal(r.Context(), epoch)
+	})
 }
 
 // handleClusterAbort discards a staged repricing.
-func (s *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) {
-	c := s.requireCluster(w, r)
-	if c == nil {
-		return
-	}
-	epoch, _, err := clusterRecomputeBody(r)
-	if err != nil {
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidArgument, "", err.Error())
-		return
-	}
-	c.AbortLocal(epoch)
-	writeJSON(w, http.StatusOK, map[string]any{"aborted": epoch})
+func (s *Server) handleClusterAbort(w http.ResponseWriter, r *http.Request) error {
+	return s.clusterControl(w, r, "aborted", func(c *cluster.Cluster, epoch, _ uint64) error {
+		c.AbortLocal(epoch)
+		return nil
+	})
 }
 
 // clusterSummary runs the scatter-gather-fold path for the public
 // summary route (and the recompute route's response document).
-func (s *Server) clusterSummary(w http.ResponseWriter, r *http.Request, c *cluster.Cluster, q fleet.Query) {
+func (s *Server) clusterSummary(w http.ResponseWriter, r *http.Request, c *cluster.Cluster, q fleet.Query) error {
 	doc, missing, err := c.Summary(r.Context(), q)
 	if err != nil {
 		s.mClusterScatter.With("error").Add(1)
-		s.writeClusterError(w, r, err)
-		return
+		return onClusterPath(err)
 	}
 	if len(missing) > 0 {
 		s.writePartialSummary(w, r, doc, missing)
-		return
+		return nil
 	}
 	s.mClusterScatter.With("full").Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	s.encodeBody(w, r, doc)
+	return nil
 }

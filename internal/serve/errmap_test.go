@@ -1,6 +1,6 @@
 package serve
 
-// The v1 error contract, pinned three ways: writeError's classification of
+// The v1 error contract, pinned three ways: classify's mapping of
 // raw error values into the envelope's closed code set, the HTTP status +
 // code + field path actually served for a representative request of each
 // failure class on every route, and a frozen golden body per error class.
@@ -22,6 +22,7 @@ import (
 
 	"act/internal/acterr"
 	"act/internal/fleet"
+	"act/internal/reqid"
 )
 
 func TestWriteErrorClassification(t *testing.T) {
@@ -252,6 +253,8 @@ func TestErrorContractAllRoutes(t *testing.T) {
 			"invalid character 'o' in literal null (expecting 'u')"},
 		{"cluster-abort-malformed", "member", "POST", "/v1/cluster/recompute/abort", `{"epoch":-1}`, http.StatusBadRequest, codeInvalidArgument, "",
 			"json: cannot unmarshal number -1 into Go struct field .epoch of type uint64"},
+		{"cluster-prepare-over-max", "member", "POST", "/v1/cluster/recompute/prepare", `{"epoch":1,"pad":"` + pad + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge, "",
+			"request body exceeds 4096 bytes"},
 		{"cluster-partial-top-not-a-number", "member", "GET", "/v1/cluster/partial?top=x", "", http.StatusBadRequest, codeInvalidArgument, "top",
 			`cannot parse top-K "x"`},
 		{"cluster-partial-by-unknown", "member", "GET", "/v1/cluster/partial?by=color", "", http.StatusBadRequest, codeInvalidArgument, "by",
@@ -291,23 +294,22 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 			s.writeError(w, r, &acterr.UnsupportedVersionError{Version: 9})
 		}},
 		{codeTooLarge, func(w http.ResponseWriter, r *http.Request) {
-			s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "",
-				"batch of 4 scenarios exceeds the limit of 3")
+			s.writeError(w, r, newAPIError(http.StatusRequestEntityTooLarge, codeTooLarge, "",
+				"batch of 4 scenarios exceeds the limit of 3"))
 		}},
 		{codeNotFound, func(w http.ResponseWriter, r *http.Request) {
-			s.writeErrorCode(w, r, http.StatusNotFound, codeNotFound, "", `no device "ghost"`)
+			s.writeError(w, r, newAPIError(http.StatusNotFound, codeNotFound, "", `no device "ghost"`))
 		}},
 		{codeConflict, func(w http.ResponseWriter, r *http.Request) {
-			s.writeErrorCode(w, r, http.StatusConflict, codeConflict, "version",
-				"export config changed since it was read; GET it again")
+			s.writeError(w, r, newAPIError(http.StatusConflict, codeConflict, "version",
+				"export config changed since it was read; GET it again"))
 		}},
 		{codeOverloaded, func(w http.ResponseWriter, r *http.Request) {
-			s.writeErrorCode(w, r, http.StatusTooManyRequests, codeOverloaded, "",
-				"overloaded: admission queue is full")
+			s.writeError(w, r, newAPIError(http.StatusTooManyRequests, codeOverloaded, "",
+				"overloaded: admission queue is full"))
 		}},
 		{codeUnavailable, func(w http.ResponseWriter, r *http.Request) {
-			s.writeErrorCode(w, r, http.StatusServiceUnavailable, codeUnavailable, "",
-				"server is draining")
+			s.writeError(w, r, errDraining)
 		}},
 		{codeDegraded, func(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, r, fmt.Errorf("fleet: write-ahead log: %w", fleet.ErrDegraded))
@@ -322,7 +324,7 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.class, func(t *testing.T) {
 			r := httptest.NewRequest(http.MethodGet, "/v1/test", nil)
-			r = r.WithContext(withRequestID(r.Context(), "golden-"+c.class))
+			r = r.WithContext(reqid.With(r.Context(), "golden-"+c.class))
 			w := httptest.NewRecorder()
 			c.write(w, r)
 			path := filepath.Join("testdata", "errors", c.class+".golden")

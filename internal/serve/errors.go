@@ -6,8 +6,9 @@
 // code is a stable machine-readable class (the closed set below), field is
 // the offending request field when the failure is a validation error, and
 // request_id attributes the failure to one request in the server logs.
-// Every handler funnels through writeError (typed-error classification) or
-// writeErrorCode (explicit status), so the envelope cannot drift between
+// API handlers return errors; Server.api hands every one of them, and the
+// middleware's own rejections, to writeError. classify is the one place an
+// error becomes a status and a code, so the envelope cannot drift between
 // routes.
 
 package serve
@@ -15,10 +16,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"act/internal/acterr"
+	"act/internal/cluster"
 	"act/internal/fleet"
+	"act/internal/reqid"
+	"act/internal/script"
 )
 
 // The closed set of machine-readable error codes the v1 API serves.
@@ -76,59 +81,109 @@ type errorResponse struct {
 	Error errorDetail `json:"error"`
 }
 
-// writeErrorCode writes the envelope with an explicit status and code —
-// the path for failures that are not typed errors (limits, routing,
-// middleware rejections).
-func (s *Server) writeErrorCode(w http.ResponseWriter, r *http.Request, status int, code, field, message string) {
-	writeJSON(w, status, errorResponse{Error: errorDetail{
-		Code:      code,
-		Field:     field,
-		Message:   message,
-		RequestID: RequestIDFrom(r.Context()),
-	}})
+// apiError is a failure whose envelope is fixed where it happens: a
+// routing miss, a limit, a middleware rejection.
+type apiError struct {
+	status int
+	detail errorDetail
 }
 
-// writeError classifies a typed error into its status and code: deadline
-// lapses are 504/timeout, degraded-persistence rejections are
-// 503/degraded, client-fixable spec problems are 400 with
-// invalid_argument (or unsupported_version), everything else — including
-// transient faults that survived the retry budget — is 500/internal.
-func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
-	status := http.StatusInternalServerError
-	det := errorDetail{Code: codeInternal, Message: err.Error()}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		status = http.StatusGatewayTimeout
-		det.Code = codeTimeout
-		det.Message = "request timed out: " + err.Error()
-	case errors.Is(err, fleet.ErrDegraded):
-		status = http.StatusServiceUnavailable
-		det.Code = codeDegraded
-	case acterr.IsInvalid(err):
-		status = http.StatusBadRequest
-		det.Code = codeInvalidArgument
-		if errors.Is(err, acterr.ErrUnsupportedVersion) {
-			det.Code = codeUnsupportedVersion
-		}
-		var inv *acterr.InvalidSpecError
-		if errors.As(err, &inv) {
-			det.Field = inv.Field
-		}
-	}
-	det.RequestID = RequestIDFrom(r.Context())
-	writeJSON(w, status, errorResponse{Error: det})
+func (e *apiError) Error() string { return e.detail.Message }
+
+func newAPIError(status int, code, field, message string) *apiError {
+	return &apiError{status, errorDetail{Code: code, Field: field, Message: message}}
 }
 
-// writeBadRequest answers 400 for a request that failed before any typed
+var (
+	errDraining   = newAPIError(http.StatusServiceUnavailable, codeUnavailable, "", "server is draining")
+	errClusterOff = newAPIError(http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled")
+	errNoExporter = newAPIError(http.StatusNotFound, codeNotFound, "", "telemetry export is not configured on this server")
+)
+
+// badRequestError marks a request that failed before any typed
 // validation could run (unparseable body, unknown wire field): whatever
-// the error, it is the client's to fix. A typed error in the chain still
-// contributes its field path and version code.
-func (s *Server) writeBadRequest(w http.ResponseWriter, r *http.Request, err error) {
-	det := errorDetail{
-		Code:      codeInvalidArgument,
-		Message:   err.Error(),
-		RequestID: RequestIDFrom(r.Context()),
+// the cause, it is the client's to fix. A typed error in the chain still
+// contributes its field path and version code, and a body over the limit
+// is still 413.
+type badRequestError struct{ error }
+
+func (e badRequestError) Unwrap() error { return e.error }
+
+func badRequest(err error) error { return badRequestError{err} }
+
+// clusterPathError marks a failure of the cluster path (a scatter, a
+// proxied hop, a two-phase step): there a transient fault — a dead peer,
+// an open peer breaker — is the cluster's unavailability (503), not an
+// internal fault.
+type clusterPathError struct{ error }
+
+func (e clusterPathError) Unwrap() error { return e.error }
+
+func onClusterPath(err error) error {
+	if err == nil {
+		return nil
 	}
+	return clusterPathError{err}
+}
+
+// canceledError marks a canceled request context as a lapsed deadline
+// (504) where the route treats the two alike; unmarked, a cancellation is
+// an internal fault.
+type canceledError struct{ error }
+
+func (e canceledError) Unwrap() error { return e.error }
+
+func (canceledError) Is(target error) bool { return target == context.DeadlineExceeded }
+
+// classify is the one mapping from an error to its status and envelope.
+// Order matters: fixed envelopes first, then limits, undecodable
+// requests, the cluster path's own classes, and the typed taxonomy;
+// anything else — including a transient fault that survived the retry
+// budget — is 500/internal. The cluster classes outrank the deadline
+// because a peer call the deadline cut off arrives wrapped as transient,
+// and on the cluster path that is 503.
+func classify(err error) (int, errorDetail) {
+	var (
+		ae     *apiError
+		tooBig *http.MaxBytesError
+		badReq badRequestError
+		cp     clusterPathError
+		scrErr *script.Error
+	)
+	clusterPath := errors.As(err, &cp)
+	switch {
+	case errors.As(err, &ae):
+		return ae.status, ae.detail
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, errorDetail{Code: codeTooLarge,
+			Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}
+	case errors.Is(err, fleet.ErrTooMany):
+		return http.StatusRequestEntityTooLarge, errorDetail{Code: codeTooLarge, Message: err.Error()}
+	case errors.As(err, &badReq):
+		return http.StatusBadRequest, invalidDetail(err)
+	case clusterPath && cluster.IsConflict(err):
+		return http.StatusConflict, errorDetail{Code: codeConflict, Message: err.Error()}
+	case clusterPath && (errors.Is(err, cluster.ErrEpochMixed) || acterr.IsTransient(err)):
+		return http.StatusServiceUnavailable, errorDetail{Code: codeUnavailable, Message: err.Error()}
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, errorDetail{Code: codeTimeout, Message: "request timed out: " + err.Error()}
+	case errors.Is(err, fleet.ErrDegraded):
+		return http.StatusServiceUnavailable, errorDetail{Code: codeDegraded, Message: err.Error()}
+	case acterr.IsBudget(err):
+		return http.StatusBadRequest, errorDetail{Code: codeScriptBudget, Message: err.Error()}
+	case errors.As(err, &scrErr):
+		return http.StatusBadRequest, errorDetail{Code: codeInvalidScript, Message: err.Error()}
+	case acterr.IsInvalid(err):
+		return http.StatusBadRequest, invalidDetail(err)
+	}
+	return http.StatusInternalServerError, errorDetail{Code: codeInternal, Message: err.Error()}
+}
+
+// invalidDetail is the 400 envelope of a client-fixable request: the
+// version code when the chain names an unsupported version, and the field
+// path of a typed validation error.
+func invalidDetail(err error) errorDetail {
+	det := errorDetail{Code: codeInvalidArgument, Message: err.Error()}
 	if errors.Is(err, acterr.ErrUnsupportedVersion) {
 		det.Code = codeUnsupportedVersion
 	}
@@ -136,5 +191,13 @@ func (s *Server) writeBadRequest(w http.ResponseWriter, r *http.Request, err err
 	if errors.As(err, &inv) {
 		det.Field = inv.Field
 	}
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: det})
+	return det
+}
+
+// writeError writes err's envelope and returns its code.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) string {
+	status, det := classify(err)
+	det.RequestID = reqid.From(r.Context())
+	writeJSON(w, status, errorResponse{Error: det})
+	return det.Code
 }

@@ -8,6 +8,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"time"
 
@@ -49,63 +50,57 @@ type exportConfigJSON struct {
 }
 
 // handleExportConfigGet answers the current exporter configuration.
-func (s *Server) handleExportConfigGet(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleExportConfigGet(w http.ResponseWriter, r *http.Request) error {
 	if s.exporter == nil {
-		s.writeErrorCode(w, r, http.StatusNotFound, codeNotFound, "",
-			"telemetry export is not configured on this server")
-		return
+		return errNoExporter
 	}
-	writeJSON(w, http.StatusOK, exportConfigJSON{
-		Version:         s.exportCfgVersion.Load(),
-		IntervalMS:      s.exporter.Interval().Milliseconds(),
-		RateBytesPerSec: s.exporter.RateBytesPerSec(),
-		URLs:            s.exporter.URLs(),
-	})
+	s.writeExportConfig(w)
+	return nil
 }
 
 // handleExportConfigPut retunes the exporter. The request must echo the
 // version it read; on success the version bumps and the new document is
 // returned.
-func (s *Server) handleExportConfigPut(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleExportConfigPut(w http.ResponseWriter, r *http.Request) error {
 	if s.exporter == nil {
-		s.writeErrorCode(w, r, http.StatusNotFound, codeNotFound, "",
-			"telemetry export is not configured on this server")
-		return
+		return errNoExporter
 	}
 	var req exportConfigJSON
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.writeBadRequest(w, r, err)
-		return
+		// A config document past its own 64 KiB cap answers 400, not
+		// the server body limit's 413, so the chain is flattened where
+		// classify would find the *http.MaxBytesError.
+		return badRequest(errors.New(err.Error()))
 	}
 	if req.IntervalMS <= 0 {
-		s.writeError(w, r, acterr.Invalid("interval_ms", "non-positive interval %d", req.IntervalMS))
-		return
+		return acterr.Invalid("interval_ms", "non-positive interval %d", req.IntervalMS)
 	}
 	if req.RateBytesPerSec < 0 {
-		s.writeError(w, r, acterr.Invalid("rate_bytes_per_sec", "negative rate %d", req.RateBytesPerSec))
-		return
+		return acterr.Invalid("rate_bytes_per_sec", "negative rate %d", req.RateBytesPerSec)
 	}
 	if len(req.URLs) > 0 {
-		s.writeError(w, r, acterr.Invalid("urls", "endpoint URLs are read-only"))
-		return
+		return acterr.Invalid("urls", "endpoint URLs are read-only")
 	}
 	// Optimistic concurrency: apply-and-bump only if the caller's version
 	// is still current.
 	if !s.exportCfgVersion.CompareAndSwap(req.Version, req.Version+1) {
-		s.writeErrorCode(w, r, http.StatusConflict, codeConflict, "version",
+		return newAPIError(http.StatusConflict, codeConflict, "version",
 			"export config changed since it was read; GET it again")
-		return
 	}
 	if err := s.exporter.SetInterval(time.Duration(req.IntervalMS) * time.Millisecond); err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 	if err := s.exporter.SetRateBytesPerSec(req.RateBytesPerSec); err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
+	s.writeExportConfig(w)
+	return nil
+}
+
+// writeExportConfig answers the current versioned config document.
+func (s *Server) writeExportConfig(w http.ResponseWriter) {
 	writeJSON(w, http.StatusOK, exportConfigJSON{
 		Version:         s.exportCfgVersion.Load(),
 		IntervalMS:      s.exporter.Interval().Milliseconds(),

@@ -14,10 +14,10 @@ import (
 	"net/http"
 	"time"
 
-	"act/internal/acterr"
 	"act/internal/cluster"
 	"act/internal/fleet"
 	"act/internal/report"
+	"act/internal/reqid"
 	"act/internal/vfs"
 )
 
@@ -29,20 +29,19 @@ func (s *Server) Fleet() *fleet.Registry { return s.fleet }
 // later record fails, and the error names the failing record's index.
 // Outcome counts land in actd_fleet_ingest_total{code}: created, replaced,
 // invalid (a 4xx the client can fix), error (an internal fault).
-func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) error {
 	var (
-		res       fleet.IngestResult
-		err       error
-		clustered bool
+		res fleet.IngestResult
+		err error
 	)
 	if c := s.clusterFor(r); c != nil {
-		clustered = true
 		// Cluster coordinator: decode here, scatter each record to its
 		// owning member (this node included). Forwarded hops fall through
 		// to the local path below — a member never re-forwards.
-		res, err = c.Ingest(r.Context(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxBatch)
+		res, err = c.Ingest(r.Context(), s.body(w, r), s.cfg.MaxBatch)
+		err = onClusterPath(err)
 	} else {
-		res, err = s.fleet.IngestNDJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), s.cfg.MaxBatch)
+		res, err = s.fleet.IngestNDJSON(s.body(w, r), s.cfg.MaxBatch)
 	}
 	if created := res.Upserted - res.Replaced; created > 0 {
 		s.mFleetIngest.With("created").Add(uint64(created))
@@ -51,94 +50,72 @@ func (s *Server) handleFleetIngest(w http.ResponseWriter, r *http.Request) {
 		s.mFleetIngest.With("replaced").Add(uint64(res.Replaced))
 	}
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			s.mFleetIngest.With("invalid").Add(1)
-			s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-		case errors.Is(err, fleet.ErrTooMany):
-			s.mFleetIngest.With("invalid").Add(1)
-			s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "", err.Error())
-		case acterr.IsInvalid(err):
-			s.mFleetIngest.With("invalid").Add(1)
-			s.writeError(w, r, err)
-		default:
-			s.mFleetIngest.With("error").Add(1)
-			if clustered {
-				// A dead owner or open peer breaker is the cluster's
-				// unavailability, not an internal fault.
-				s.writeClusterError(w, r, err)
-			} else {
-				s.writeError(w, r, err)
-			}
+		outcome := "error"
+		if status, _ := classify(err); status < http.StatusInternalServerError {
+			outcome = "invalid"
 		}
-		return
+		s.mFleetIngest.With(outcome).Add(1)
+		return err
 	}
 	writeJSON(w, http.StatusOK, res)
+	return nil
 }
 
 // handleFleetSummary answers the aggregate fleet document. Optional query
 // parameters: top=K adds the K largest per-device emitters, by=region|node|class
 // adds per-group rows.
-func (s *Server) handleFleetSummary(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetSummary(w http.ResponseWriter, r *http.Request) error {
 	q, err := bindFleetQuery(r.URL.Query())
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 	if c := s.clusterFor(r); c != nil {
-		s.clusterSummary(w, r, c, q)
-		return
+		return s.clusterSummary(w, r, c, q)
 	}
 	doc, err := s.fleet.Query(q)
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	s.encodeBody(w, r, doc)
+	return nil
 }
 
 // handleFleetDelete unregisters one device by id; 404 when absent.
-func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
 	if c := s.cluster.Load(); c != nil && !c.IsLocal(id) {
 		if forwarded(r) {
 			// The sender thought we own this device; we disagree. A second
 			// hop could loop forever, so answer conflict instead.
-			s.writeClusterError(w, r, cluster.ErrNotOwner)
-			return
+			return onClusterPath(cluster.ErrNotOwner)
 		}
 		status, body, err := c.ProxyDelete(r.Context(), c.OwnerOf(id), id)
 		if err != nil {
-			s.writeClusterError(w, r, err)
-			return
+			return onClusterPath(err)
 		}
 		// Relay the owner's verbatim answer. The forwarded request carried
 		// our X-Request-Id, so the relayed body's request_id matches ours.
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
 		_, _ = w.Write(body)
-		return
+		return nil
 	}
 	found, err := s.fleet.Remove(id)
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 	if !found {
-		s.writeErrorCode(w, r, http.StatusNotFound, codeNotFound, "",
-			fmt.Sprintf("no device %q", id))
-		return
+		return newAPIError(http.StatusNotFound, codeNotFound, "", fmt.Sprintf("no device %q", id))
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"removed": id})
+	return nil
 }
 
 // handleFleetRecompute re-evaluates every registered BoM against the
 // current model tables and answers with the fresh summary. Latency lands
 // in actd_fleet_recompute_seconds.
-func (s *Server) handleFleetRecompute(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFleetRecompute(w http.ResponseWriter, r *http.Request) error {
 	if c := s.clusterFor(r); c != nil {
 		// Two-phase coordinator: prepare on every member, then commit, then
 		// answer the cluster-wide summary.
@@ -146,18 +123,16 @@ func (s *Server) handleFleetRecompute(w http.ResponseWriter, r *http.Request) {
 		err := c.Recompute(r.Context())
 		s.mFleetRecompute.Observe(time.Since(start).Seconds())
 		if err != nil {
-			s.writeClusterError(w, r, err)
-			return
+			return onClusterPath(err)
 		}
-		s.clusterSummary(w, r, c, fleet.Query{})
-		return
+		return s.clusterSummary(w, r, c, fleet.Query{})
 	}
 	if err := s.recomputeFleet(r.Context()); err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
 	s.encodeBody(w, r, s.fleet.Summary())
+	return nil
 }
 
 // encodeBody writes a canonical result document onto a response whose
@@ -170,7 +145,7 @@ func (s *Server) encodeBody(w http.ResponseWriter, r *http.Request, doc any) {
 		s.mEncodeErrors.Inc()
 		s.log.Warn("response body encode failed",
 			"path", r.URL.Path,
-			"request_id", RequestIDFrom(r.Context()),
+			"request_id", reqid.From(r.Context()),
 			"error", err)
 	}
 }

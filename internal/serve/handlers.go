@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"net/http"
 
 	"act/internal/resilience"
@@ -21,23 +21,15 @@ import (
 // evaluation. A request that fails with a transient infrastructure fault
 // is retried whole (results cached by the failed attempt make the replay
 // cheap); validation failures never are.
-func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) {
-	specs, batch, err := scenario.ParseRequest(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) error {
+	specs, batch, err := scenario.ParseRequest(s.body(w, r))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		// Anything else unparseable is the client's to fix, typed or not.
-		s.writeBadRequest(w, r, err)
-		return
+		// Anything unparseable is the client's to fix, typed or not.
+		return badRequest(err)
 	}
 	if len(specs) > s.cfg.MaxBatch {
-		s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "",
+		return newAPIError(http.StatusRequestEntityTooLarge, codeTooLarge, "",
 			fmt.Sprintf("batch of %d scenarios exceeds the limit of %d", len(specs), s.cfg.MaxBatch))
-		return
 	}
 
 	results, err := resilience.Retry(r.Context(), s.retryPolicy(uint64(len(specs))),
@@ -45,14 +37,13 @@ func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) {
 			return s.evalBatchColumnar(ctx, specs, batch)
 		})
 	if err != nil {
-		s.writeError(w, r, err)
-		return
+		return err
 	}
 
 	w.Header().Set("Content-Type", "application/json")
 	if !batch {
 		_, _ = w.Write(results[0])
-		return
+		return nil
 	}
 	buf := getBuf()
 	defer putBuf(buf)
@@ -65,6 +56,30 @@ func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) {
 	}
 	buf.WriteString("]\n")
 	_, _ = w.Write(buf.Bytes())
+	return nil
+}
+
+// body is the request body bounded by MaxBodyBytes: every route that
+// reads a body reads it here, so reading past the limit fails with the
+// *http.MaxBytesError that classify answers 413.
+func (s *Server) body(w http.ResponseWriter, r *http.Request) io.Reader {
+	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+}
+
+// readJSON reads the bounded body whole and decodes one JSON document
+// into v, rejecting unknown fields. what names the document in a parse
+// error ("sweep request").
+func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	body, err := io.ReadAll(s.body(w, r))
+	if err != nil {
+		return badRequest(fmt.Errorf("reading request body: %w", err))
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badRequest(fmt.Errorf("parsing %s: %w", what, err))
+	}
+	return nil
 }
 
 // retryPolicy is the server's transient-fault retry policy. The seed folds

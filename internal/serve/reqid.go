@@ -10,23 +10,12 @@
 package serve
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sync/atomic"
-
-	"act/internal/reqid"
 )
-
-// RequestIDFrom returns the request id carried by ctx, or "" outside a
-// request.
-func RequestIDFrom(ctx context.Context) string { return reqid.From(ctx) }
-
-func withRequestID(ctx context.Context, id string) context.Context {
-	return reqid.With(ctx, id)
-}
 
 // reqIDSource mints process-unique request ids: a random per-server nonce
 // plus a sequence number. Cheaper than per-request crypto randomness and

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"strings"
@@ -96,6 +99,48 @@ func TestRequestIDMinting(t *testing.T) {
 	resp3.Body.Close()
 	if got := resp3.Header.Get("X-Request-Id"); got == "" || strings.Contains(got, " ") {
 		t.Errorf("hostile client id not replaced: got %q", got)
+	}
+}
+
+// TestRequestLogNamesErrorCode checks the request log line names the
+// envelope code of a failure (a 400 and a 413) and stays without one on
+// success.
+func TestRequestLogNamesErrorCode(t *testing.T) {
+	var logs bytes.Buffer
+	s := New(Config{MaxBodyBytes: 4096, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	cases := []struct {
+		body     string
+		wantCode int
+		wantErr  string
+	}{
+		{`{"name": "x"`, http.StatusBadRequest, codeInvalidArgument},
+		{`{"pad": "` + strings.Repeat("x", 8192) + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge},
+		{string(mustJSON(t, testSpec(11))), http.StatusOK, ""},
+	}
+	for _, c := range cases {
+		logs.Reset()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/footprint", strings.NewReader(c.body)))
+		if w.Code != c.wantCode {
+			t.Fatalf("status = %d, want %d (body %s)", w.Code, c.wantCode, w.Body.Bytes())
+		}
+		var line struct {
+			Msg       string  `json:"msg"`
+			Code      int     `json:"code"`
+			ErrorCode *string `json:"error_code"`
+		}
+		if err := json.Unmarshal(logs.Bytes(), &line); err != nil {
+			t.Fatalf("request log line is not one JSON object: %v (%s)", err, logs.Bytes())
+		}
+		if line.Msg != "request" || line.Code != c.wantCode {
+			t.Errorf("log line = %s, want the request line with code %d", logs.Bytes(), c.wantCode)
+		}
+		switch {
+		case c.wantErr == "" && line.ErrorCode != nil:
+			t.Errorf("a %d answer logged error_code %q", c.wantCode, *line.ErrorCode)
+		case c.wantErr != "" && (line.ErrorCode == nil || *line.ErrorCode != c.wantErr):
+			t.Errorf("a %d answer logged %s, want error_code %q", c.wantCode, logs.Bytes(), c.wantErr)
+		}
 	}
 }
 

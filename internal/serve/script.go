@@ -21,10 +21,7 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -52,38 +49,26 @@ func (s *Server) scriptBudget() script.Budget {
 	}
 }
 
-// handleScript evaluates one sandboxed program.
-func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.countScriptEval(codeTooLarge)
-			s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
+// handleScript evaluates one sandboxed program. Every request lands once
+// in actd_script_evals_total{code}: "ok", or the envelope code its
+// failure answers with.
+func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) (err error) {
+	defer func() {
+		det := errorDetail{Code: "ok"}
+		if err != nil {
+			_, det = classify(err)
 		}
-		s.countScriptEval(codeInvalidArgument)
-		s.writeBadRequest(w, r, fmt.Errorf("reading request body: %w", err))
-		return
-	}
+		s.mScriptEvals.With(det.Code).Add(1)
+	}()
 	var req scriptRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.countScriptEval(codeInvalidArgument)
-		s.writeBadRequest(w, r, fmt.Errorf("parsing script request: %w", err))
-		return
+	if err := s.readJSON(w, r, "script request", &req); err != nil {
+		return err
 	}
 	if req.Version != 0 && req.Version != scenario.Version {
-		s.countScriptEval(codeUnsupportedVersion)
-		s.writeError(w, r, &acterr.UnsupportedVersionError{Version: req.Version})
-		return
+		return &acterr.UnsupportedVersionError{Version: req.Version}
 	}
 	if req.Source == "" {
-		s.countScriptEval(codeInvalidArgument)
-		s.writeError(w, r, acterr.Invalid("source", "a program is required"))
-		return
+		return acterr.Invalid("source", "a program is required")
 	}
 
 	opts := script.Options{Budget: s.scriptBudget()}
@@ -93,58 +78,26 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) {
 			return script.Eval(ctx, req.Source, opts)
 		})
 	s.mScriptDuration.Observe(time.Since(start).Seconds())
+	if errors.Is(err, context.Canceled) {
+		// The caller's lapsed or canceled request outranks the budget
+		// classification: both are the request's deadline here (504).
+		return canceledError{err}
+	}
 	if err != nil {
-		s.writeScriptError(w, r, err)
-		return
+		return err
 	}
 
-	s.countScriptEval("ok")
 	s.mScriptSteps.Observe(float64(res.Steps))
 	var buf bytes.Buffer
 	if err := res.Encode(&buf); err != nil {
 		// The program produced an unencodable value (a function, a
 		// reference cycle) — still the program's fault.
-		s.countScriptEval(codeInvalidScript)
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidScript, "",
-			"script result: "+err.Error())
-		return
+		return newAPIError(http.StatusBadRequest, codeInvalidScript, "", "script result: "+err.Error())
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		s.mEncodeErrors.Inc()
 	}
-}
-
-// writeScriptError maps an evaluation failure onto the wire taxonomy and
-// counts it. Order matters: the caller's lapsed deadline outranks the
-// budget classification (script.Eval already attributes Done to the
-// right owner, but a retry layer can also surface the raw ctx error).
-func (s *Server) writeScriptError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.countScriptEval(codeTimeout)
-		s.writeErrorCode(w, r, http.StatusGatewayTimeout, codeTimeout, "",
-			"request timed out: "+err.Error())
-	case acterr.IsBudget(err):
-		s.countScriptEval(codeScriptBudget)
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeScriptBudget, "", err.Error())
-	case isScriptError(err):
-		s.countScriptEval(codeInvalidScript)
-		s.writeErrorCode(w, r, http.StatusBadRequest, codeInvalidScript, "", err.Error())
-	default:
-		s.countScriptEval(codeInternal)
-		s.writeError(w, r, err)
-	}
-}
-
-// isScriptError reports whether err is the program's own failure.
-func isScriptError(err error) bool {
-	var se *script.Error
-	return errors.As(err, &se)
-}
-
-// countScriptEval bumps actd_script_evals_total{code}.
-func (s *Server) countScriptEval(code string) {
-	s.mScriptEvals.With(code).Add(1)
+	return nil
 }

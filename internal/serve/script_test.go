@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,5 +193,23 @@ func TestScriptInvalidScenarioInProgram(t *testing.T) {
 	}
 	if det := decodeError(t, body); det.Code != codeInvalidScript {
 		t.Errorf("code = %q, want %q (body %s)", det.Code, codeInvalidScript, body)
+	}
+}
+
+func TestScriptUnencodableResultCountedOnce(t *testing.T) {
+	// A program whose value cannot be encoded answers invalid_script, and
+	// the evaluation counts once, under that code only.
+	s, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v1/script", scriptBody(t, `fn(x) { x }`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+	}
+	if det := decodeError(t, body); det.Code != codeInvalidScript {
+		t.Errorf("code = %q, want %q (body %s)", det.Code, codeInvalidScript, body)
+	}
+	expo := s.reg.Render()
+	if !strings.Contains(expo, `actd_script_evals_total{code="invalid_script"} 1`) ||
+		strings.Contains(expo, `actd_script_evals_total{code="ok"}`) {
+		t.Errorf("script outcome counters wrong:\n%s", expo)
 	}
 }

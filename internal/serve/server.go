@@ -55,6 +55,7 @@ import (
 	"act/internal/cluster"
 	"act/internal/fleet"
 	"act/internal/prom"
+	"act/internal/reqid"
 	"act/internal/resilience"
 )
 
@@ -372,16 +373,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.httpSrv.Shutdown(ctx)
 }
 
+// apiHandler is an API route's handler. It writes the response on
+// success; on failure it returns the error and writes nothing, and
+// Server.api writes the envelope.
+type apiHandler func(http.ResponseWriter, *http.Request) error
+
 // api wraps an API handler with the service middleware, outermost first:
 // request-id propagation, drain rejection, in-flight accounting, the
 // per-request timeout, admission control (shed with 429 before any work),
 // the handler's circuit breaker (503 while open), a panic barrier (500),
-// metrics and structured request logging.
-func (s *Server) api(name string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+// the error envelope, metrics and structured request logging. The request
+// log line of an answer whose envelope this server wrote names its code
+// as error_code.
+func (s *Server) api(name string, h apiHandler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		reqID := s.reqIDs.requestID(r)
 		w.Header().Set("X-Request-Id", reqID)
-		r = r.WithContext(withRequestID(r.Context(), reqID))
+		r = r.WithContext(reqid.With(r.Context(), reqID))
 
 		s.mInflight.Inc()
 		start := time.Now()
@@ -392,23 +400,29 @@ func (s *Server) api(name string, h func(http.ResponseWriter, *http.Request)) ht
 
 		s.mRequests.With(name, strconv.Itoa(rec.code)).Add(1)
 		s.mLatency.Observe(dur.Seconds())
-		s.log.Info("request",
+		attrs := []any{
 			"handler", name,
 			"method", r.Method,
 			"path", r.URL.Path,
 			"code", rec.code,
-			"duration_ms", float64(dur.Microseconds())/1e3,
+			"duration_ms", float64(dur.Microseconds()) / 1e3,
 			"remote", r.RemoteAddr,
 			"request_id", reqID,
-		)
+		}
+		if rec.errCode != "" {
+			attrs = append(attrs, "error_code", rec.errCode)
+		}
+		s.log.Info("request", attrs...)
 	})
 }
 
 // dispatch runs one admitted-or-shed request through the resilience layers
-// and the handler. It always writes a complete response to rec.
-func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h func(http.ResponseWriter, *http.Request)) {
+// and the handler. It always writes a complete response to rec; every
+// failure, the middleware's own included, goes through writeError.
+func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h apiHandler) {
+	fail := func(err error) { rec.errCode = s.writeError(rec, r, err) }
 	if s.draining.Load() {
-		s.writeErrorCode(rec, r, http.StatusServiceUnavailable, codeUnavailable, "", "server is draining")
+		fail(errDraining)
 		return
 	}
 
@@ -428,8 +442,7 @@ func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h f
 			shed, _ := resilience.IsShed(err)
 			s.mShed.With(shed.Reason).Add(1)
 			rec.Header().Set("Retry-After", retryAfterSeconds(shed.RetryAfter))
-			s.writeErrorCode(rec, r, http.StatusTooManyRequests, codeOverloaded, "",
-				"overloaded: "+shed.Error())
+			fail(newAPIError(http.StatusTooManyRequests, codeOverloaded, "", "overloaded: "+shed.Error()))
 			return
 		}
 		defer release()
@@ -443,8 +456,8 @@ func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h f
 			if ra := brk.RetryAfter(); ra > 0 {
 				rec.Header().Set("Retry-After", retryAfterSeconds(ra))
 			}
-			s.writeErrorCode(rec, r, http.StatusServiceUnavailable, codeUnavailable, "",
-				"service temporarily unavailable: "+err.Error())
+			fail(newAPIError(http.StatusServiceUnavailable, codeUnavailable, "",
+				"service temporarily unavailable: "+err.Error()))
 			return
 		}
 		// The panic barrier below runs first (deferred later), so rec.code
@@ -458,20 +471,21 @@ func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h f
 		if p := recover(); p != nil {
 			s.log.Error("handler panic",
 				"handler", name,
-				"request_id", RequestIDFrom(r.Context()),
+				"request_id", reqid.From(r.Context()),
 				"panic", fmt.Sprint(p),
 				"stack", string(debug.Stack()),
 			)
 			if !rec.wrote {
-				s.writeErrorCode(rec, r, http.StatusInternalServerError, codeInternal, "",
-					"internal error")
+				fail(errors.New("internal error"))
 			} else {
 				rec.code = http.StatusInternalServerError // for metrics/breaker
 			}
 		}
 	}()
 
-	h(rec, r)
+	if err := h(rec, r); err != nil {
+		fail(err)
+	}
 }
 
 // retryAfterSeconds renders a Retry-After header value (whole seconds,
@@ -484,11 +498,13 @@ func retryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// statusRecorder captures the response code for logging and metrics.
+// statusRecorder captures the response code, and the envelope code of a
+// failure, for logging and metrics.
 type statusRecorder struct {
 	http.ResponseWriter
-	code  int
-	wrote bool
+	code    int
+	errCode string
+	wrote   bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {

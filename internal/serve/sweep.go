@@ -1,12 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -64,36 +61,19 @@ var builtinObjectives = map[string]dse.Objective{
 
 // handleSweep ranks candidate design points under the requested Table 2
 // metrics and/or reduces them to a Pareto frontier.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, codeTooLarge, "",
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeBadRequest(w, r, fmt.Errorf("reading request body: %w", err))
-		return
-	}
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	var req sweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeBadRequest(w, r, fmt.Errorf("parsing sweep request: %w", err))
-		return
+	if err := s.readJSON(w, r, "sweep request", &req); err != nil {
+		return err
 	}
 	if req.Version != 0 && req.Version != scenario.Version {
-		s.writeError(w, r, &acterr.UnsupportedVersionError{Version: req.Version})
-		return
+		return &acterr.UnsupportedVersionError{Version: req.Version}
 	}
 	if len(req.Candidates) == 0 {
-		s.writeError(w, r, acterr.Invalid("candidates", "at least one candidate is required"))
-		return
+		return acterr.Invalid("candidates", "at least one candidate is required")
 	}
 	if len(req.Rank) == 0 && len(req.Pareto) == 0 {
-		s.writeError(w, r, acterr.Invalid("rank", `request asks for nothing: set "rank" and/or "pareto"`))
-		return
+		return acterr.Invalid("rank", `request asks for nothing: set "rank" and/or "pareto"`)
 	}
 
 	cands := make([]metrics.Candidate, len(req.Candidates))
@@ -106,12 +86,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Area:     units.MM2(c.AreaMM2),
 		}
 		if cands[i].Name == "" {
-			s.writeError(w, r, acterr.Invalid(fmt.Sprintf("candidates[%d].name", i), "name is required"))
-			return
+			return acterr.Invalid(fmt.Sprintf("candidates[%d].name", i), "name is required")
 		}
 		if err := cands[i].Validate(); err != nil {
-			s.writeError(w, r, acterr.Prefix(fmt.Sprintf("candidates[%d]", i), err))
-			return
+			return acterr.Prefix(fmt.Sprintf("candidates[%d]", i), err)
 		}
 	}
 
@@ -121,8 +99,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		m := metrics.Metric(strings.ToUpper(strings.TrimSpace(name)))
 		ranked, err := metrics.Rank(m, cands)
 		if err != nil {
-			s.writeError(w, r, acterr.Invalid("rank", "%v", err))
-			return
+			return acterr.Invalid("rank", "%v", err)
 		}
 		sr := sweepRanking{Metric: string(m), Ranked: make([]sweepScore, len(ranked))}
 		for i, sc := range ranked {
@@ -133,16 +110,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	if len(req.Pareto) > 0 {
 		if len(req.Pareto) < 2 {
-			s.writeError(w, r, acterr.Invalid("pareto", "a Pareto frontier needs at least two objectives, got %d", len(req.Pareto)))
-			return
+			return acterr.Invalid("pareto", "a Pareto frontier needs at least two objectives, got %d", len(req.Pareto))
 		}
 		objectives := make([]dse.Objective, len(req.Pareto))
 		for i, axis := range req.Pareto {
 			o, ok := builtinObjectives[strings.ToLower(strings.TrimSpace(axis))]
 			if !ok {
-				s.writeError(w, r, acterr.Invalid(fmt.Sprintf("pareto[%d]", i),
-					"unknown objective %q (want embodied, energy, delay or area)", axis))
-				return
+				return acterr.Invalid(fmt.Sprintf("pareto[%d]", i),
+					"unknown objective %q (want embodied, energy, delay or area)", axis)
 			}
 			objectives[i] = o
 		}
@@ -151,11 +126,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// A lapsed request deadline must surface as 504, not as a
 			// candidate-validation 400.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				s.writeError(w, r, err)
-				return
+				return err
 			}
-			s.writeError(w, r, acterr.Invalid("pareto", "%v", err))
-			return
+			return acterr.Invalid("pareto", "%v", err)
 		}
 		resp.Pareto = make([]string, len(frontier))
 		for i, c := range frontier {
@@ -164,6 +137,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // expandMetrics resolves the "all" shorthand.
