@@ -62,7 +62,9 @@ verify-cluster:
 # Coverage floor on the conformance harness and the wire layer it leans
 # on: the harness only protects what it executes, so its own coverage
 # regressing is a conformance gap, not a style nit. The cluster and
-# fleet floors pin the scatter-gather layer and the registry it folds.
+# fleet floors pin the scatter-gather layer and the registry it folds;
+# the export and dse floors pin the telemetry pipeline and the Pareto
+# frontier core that /v1/sweep and script pareto() share.
 cover:
 	./scripts/coverfloor.sh ./internal/conform 80
 	./scripts/coverfloor.sh ./internal/scenario 85
@@ -70,6 +72,8 @@ cover:
 	./scripts/coverfloor.sh ./internal/script 85
 	./scripts/coverfloor.sh ./internal/cluster 85
 	./scripts/coverfloor.sh ./internal/fleet 83
+	./scripts/coverfloor.sh ./internal/export 73
+	./scripts/coverfloor.sh ./internal/dse 95
 
 # Chaos verification: rebuild with the faultinject tag (hooks compiled in)
 # and run everything — including the seeded fault storm against a live

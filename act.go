@@ -40,7 +40,6 @@ import (
 	"act/internal/intensity"
 	"act/internal/memdb"
 	"act/internal/metrics"
-	"act/internal/parsweep"
 	"act/internal/storagedb"
 	"act/internal/uncertain"
 	"act/internal/units"
@@ -303,44 +302,6 @@ var (
 	ObjectiveEnergy   = dse.Energy
 	ObjectiveDelay    = dse.Delay
 	ObjectiveArea     = dse.Area
-)
-
-// ParallelMap evaluates fn over items on a bounded worker pool (workers ≤ 0
-// means GOMAXPROCS) and returns the results in input order — the fan-out
-// primitive behind actd batches and the sweep harness.
-func ParallelMap[T, R any](workers int, items []T, fn func(i int, item T) R) []R {
-	return parsweep.Map(workers, items, fn)
-}
-
-// ParallelMapCtx is ParallelMap with cancellation: a done ctx stops the
-// pool from starting new items and returns ctx.Err(), so a caller-imposed
-// deadline propagates into the sweep instead of letting it run to
-// completion for nobody.
-func ParallelMapCtx[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) R) ([]R, error) {
-	return parsweep.MapCtx(ctx, workers, items, fn)
-}
-
-// ParallelMapErr is ParallelMapCtx for fallible work: the first failure
-// (lowest item index) cancels in-flight items and is returned. Transient
-// infrastructure faults can be marked with TransientError for the serving
-// layer's retry policy; cancellation of ctx outranks item errors it
-// induced.
-func ParallelMapErr[T, R any](ctx context.Context, workers int, items []T, fn func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	return parsweep.MapErrCtx(ctx, workers, items, fn)
-}
-
-// Error-class helpers for the resilience layer's retry taxonomy.
-type (
-	// TransientError marks a failure as transient infrastructure trouble —
-	// the only class the serving layer retries.
-	TransientError = acterr.TransientError
-)
-
-var (
-	// Transient wraps err as a TransientError (nil stays nil).
-	Transient = acterr.Transient
-	// IsTransient reports whether err carries a TransientError.
-	IsTransient = acterr.IsTransient
 )
 
 // Uncertainty analysis types (Section 5 fab-parameter uncertainty).

@@ -56,7 +56,7 @@ func runExport(args []string, stdin io.Reader, stdout io.Writer) error {
 	if _, err := reg.IngestNDJSON(in, 0); err != nil {
 		return err
 	}
-	raw, err := export.RenderOnce([]export.Generator{&export.FleetGenerator{Reg: reg}}, ts)
+	raw, err := export.Render(reg, ts)
 	if err != nil {
 		return err
 	}

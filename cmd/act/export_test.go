@@ -30,7 +30,7 @@ func TestExportByteIdentity(t *testing.T) {
 	if _, err := reg.IngestNDJSON(bytes.NewReader(ndjson), 0); err != nil {
 		t.Fatal(err)
 	}
-	want, err := export.RenderOnce([]export.Generator{&export.FleetGenerator{Reg: reg}}, ts)
+	want, err := export.Render(reg, ts)
 	if err != nil {
 		t.Fatal(err)
 	}

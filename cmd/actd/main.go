@@ -200,7 +200,7 @@ func run(cfg serve.Config, grace time.Duration, durability serve.FleetDurability
 			Workers:         expCfg.workers,
 			Metrics:         export.NewMetrics(srv.MetricsRegistry()),
 			Logger:          log,
-		}, &export.FleetGenerator{Reg: srv.Fleet()})
+		}, srv.Fleet())
 		if err != nil {
 			return fmt.Errorf("telemetry exporter: %w", err)
 		}

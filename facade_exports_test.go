@@ -73,16 +73,6 @@ func TestFacadeDSE(t *testing.T) {
 	}
 }
 
-func TestFacadeParallelMap(t *testing.T) {
-	in := []int{1, 2, 3, 4, 5}
-	out := act.ParallelMap(2, in, func(i, v int) int { return v * v })
-	for i, v := range out {
-		if v != in[i]*in[i] {
-			t.Fatalf("out[%d] = %d, want %d", i, v, in[i]*in[i])
-		}
-	}
-}
-
 func TestFacadeMonteCarloParallel(t *testing.T) {
 	model := func(draw func(act.Dist) float64) (float64, error) {
 		return draw(act.Uniform{Lo: 1, Hi: 3}), nil
@@ -103,39 +93,9 @@ func TestFacadeMonteCarloParallel(t *testing.T) {
 	}
 }
 
-// TestFacadeResilienceExports drives the resilience-facing additions
-// through the public API alone: the transient error class and the
-// cancellable parallel-map forms.
+// TestFacadeResilienceExports drives the cancellable frontier through the
+// public API alone: a live context reduces, a done one stops the scan.
 func TestFacadeResilienceExports(t *testing.T) {
-	base := errors.New("pool hiccup")
-	terr := act.Transient(base)
-	if !act.IsTransient(terr) {
-		t.Error("Transient() result not recognized by IsTransient")
-	}
-	var te *act.TransientError
-	if !errors.As(terr, &te) || !errors.Is(terr, base) {
-		t.Error("TransientError does not wrap its cause")
-	}
-	if act.IsInvalidSpec(terr) {
-		t.Error("a transient fault must never classify as an invalid spec")
-	}
-	if act.Transient(nil) != nil {
-		t.Error("Transient(nil) should stay nil")
-	}
-
-	out, err := act.ParallelMapCtx(context.Background(), 2, []int{1, 2, 3},
-		func(_ context.Context, _ int, v int) int { return v * 10 })
-	if err != nil || len(out) != 3 || out[2] != 30 {
-		t.Errorf("ParallelMapCtx = %v, %v", out, err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := act.ParallelMapErr(ctx, 2, []int{1, 2, 3},
-		func(_ context.Context, _ int, v int) (int, error) { return v, nil }); !errors.Is(err, context.Canceled) {
-		t.Errorf("pre-cancelled ParallelMapErr err = %v, want context.Canceled", err)
-	}
-
 	cands := []act.Candidate{
 		{Name: "a", Embodied: act.Grams(1), Energy: act.Joules(1), Delay: time.Second},
 		{Name: "b", Embodied: act.Grams(2), Energy: act.Joules(2), Delay: 2 * time.Second},
@@ -144,5 +104,12 @@ func TestFacadeResilienceExports(t *testing.T) {
 		[]act.Objective{act.ObjectiveEmbodied, act.ObjectiveDelay})
 	if err != nil || len(frontier) != 1 || frontier[0].Name != "a" {
 		t.Errorf("ParetoFrontierCtx = %v, %v", frontier, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := act.ParetoFrontierCtx(ctx, cands,
+		[]act.Objective{act.ObjectiveEmbodied, act.ObjectiveDelay}); !errors.Is(err, context.Canceled) {
+		t.Errorf("pre-cancelled ParetoFrontierCtx err = %v, want context.Canceled", err)
 	}
 }

@@ -23,9 +23,7 @@ import (
 // exportRefold renders one telemetry snapshot of reg and checks it against
 // the already-folded summary document doc.
 func (e *Engine) exportRefold(fail func(string, ...any), reg *fleet.Registry, doc report.FleetSummaryJSON) {
-	raw, err := export.RenderOnce(
-		[]export.Generator{&export.FleetGenerator{Reg: reg}},
-		time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	raw, err := export.Render(reg, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	if err != nil {
 		fail("export refold: render: %v", err)
 		return

@@ -75,7 +75,7 @@ func evalMatrix(cands []metrics.Candidate, objectives []Objective) [][]float64 {
 	for i, c := range cands {
 		row := make([]float64, len(objectives))
 		for j, o := range objectives {
-			row[j] = saneEval(o, c)
+			row[j] = o.Eval(c)
 		}
 		vals[i] = row
 	}
@@ -87,10 +87,8 @@ func evalMatrix(cands []metrics.Candidate, objectives []Objective) [][]float64 {
 // objectives) are all retained: none dominates the other. NaN objective
 // values are treated as +Inf, so they lose like any other invalid point.
 //
-// Each objective is evaluated exactly once per candidate. The 2-objective
-// case runs in O(n log n) via a sort; higher dimensions fall back to
-// pairwise dominance over the precomputed matrix, parallelized across
-// candidates for large inputs.
+// Each objective is evaluated exactly once per candidate; NonDominated
+// then reduces the matrix.
 func ParetoFrontier(cands []metrics.Candidate, objectives []Objective) ([]metrics.Candidate, error) {
 	return ParetoFrontierCtx(context.Background(), cands, objectives)
 }
@@ -110,15 +108,9 @@ func ParetoFrontierCtx(ctx context.Context, cands []metrics.Candidate, objective
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	vals := evalMatrix(cands, objectives)
-	var keep []bool
-	if len(objectives) == 2 {
-		keep = pareto2D(vals)
-	} else {
-		var err error
-		if keep, err = paretoNDCtx(ctx, vals); err != nil {
-			return nil, err
-		}
+	keep, err := NonDominated(ctx, evalMatrix(cands, objectives))
+	if err != nil {
+		return nil, err
 	}
 	var out []metrics.Candidate
 	for i, k := range keep {
@@ -127,6 +119,29 @@ func ParetoFrontierCtx(ctx context.Context, cands []metrics.Candidate, objective
 		}
 	}
 	return out, nil
+}
+
+// NonDominated marks the non-dominated rows of an n×k matrix, lower being
+// better in every column: keep[i] is false only when another row is at
+// least as good in every column and strictly better in one, so duplicate
+// rows all survive. NaN entries read as +Inf (they are rewritten in place)
+// and lose every comparison instead of silently surviving them. Two
+// columns take an O(n log n) sort; any other width takes the pairwise
+// scan, which fans out across workers for large n and stops between rows
+// once ctx is done. It is the frontier core of ParetoFrontierCtx and of
+// the script interpreter's pareto().
+func NonDominated(ctx context.Context, vals [][]float64) ([]bool, error) {
+	for _, row := range vals {
+		for j, v := range row {
+			if math.IsNaN(v) {
+				row[j] = math.Inf(1)
+			}
+		}
+	}
+	if len(vals) > 0 && len(vals[0]) == 2 {
+		return pareto2D(vals), nil
+	}
+	return paretoScan(ctx, vals)
 }
 
 // pareto2D marks the non-dominated rows of an n×2 matrix in O(n log n):
@@ -166,21 +181,16 @@ func pareto2D(vals [][]float64) []bool {
 	return keep
 }
 
-// paretoNDParallelCutoff is the candidate count beyond which the pairwise
-// dominance scan fans out across workers; below it the pool overhead
-// outweighs the O(n²) work.
-const paretoNDParallelCutoff = 512
+// scanParallelCutoff is the row count beyond which the pairwise dominance
+// scan fans out across workers; below it the pool overhead outweighs the
+// O(n²) work.
+const scanParallelCutoff = 512
 
-// paretoND marks the non-dominated rows of an n×k matrix by pairwise scan.
-// Each row's verdict is independent, so large inputs are checked in
-// parallel (each worker writes only its own keep[i]).
-func paretoND(vals [][]float64) []bool {
-	keep, _ := paretoNDCtx(context.Background(), vals)
-	return keep
-}
-
-// paretoNDCtx is paretoND with cancellation between per-candidate checks.
-func paretoNDCtx(ctx context.Context, vals [][]float64) ([]bool, error) {
+// paretoScan marks the non-dominated rows of an n×k matrix by pairwise
+// scan, with cancellation between rows. Each row's verdict is independent,
+// so large inputs are checked in parallel (each worker writes only its own
+// keep[i]).
+func paretoScan(ctx context.Context, vals [][]float64) ([]bool, error) {
 	n := len(vals)
 	dominatedRow := func(i int, row []float64) bool {
 		for j := 0; j < n; j++ {
@@ -190,7 +200,7 @@ func paretoNDCtx(ctx context.Context, vals [][]float64) ([]bool, error) {
 		}
 		return false
 	}
-	if n >= paretoNDParallelCutoff {
+	if n >= scanParallelCutoff {
 		return parsweep.MapCtx(ctx, 0, vals, func(_ context.Context, i int, row []float64) bool {
 			return !dominatedRow(i, row)
 		})
@@ -335,8 +345,8 @@ type MetricRanking struct {
 }
 
 // RankAllOrdered evaluates candidates under every Table 2 metric and
-// returns the per-metric rankings in metrics.All() order — the stable
-// iteration the map-returning RankAll cannot provide to printers.
+// returns the per-metric rankings in metrics.All() order — the summary
+// Figure 8(d)/Figure 12 panels present, in a stable order for printers.
 func RankAllOrdered(cands []metrics.Candidate) ([]MetricRanking, error) {
 	out := make([]MetricRanking, 0, len(metrics.All()))
 	for _, m := range metrics.All() {
@@ -345,22 +355,6 @@ func RankAllOrdered(cands []metrics.Candidate) ([]MetricRanking, error) {
 			return nil, err
 		}
 		out = append(out, MetricRanking{Metric: m, Ranked: ranked})
-	}
-	return out, nil
-}
-
-// RankAll evaluates candidates under every Table 2 metric and returns, per
-// metric, the ordered winners — the summary Figure 8(d)/Figure 12 panels
-// present. Callers that print should prefer RankAllOrdered: map iteration
-// order is nondeterministic.
-func RankAll(cands []metrics.Candidate) (map[metrics.Metric][]metrics.Scored, error) {
-	ordered, err := RankAllOrdered(cands)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[metrics.Metric][]metrics.Scored, len(ordered))
-	for _, r := range ordered {
-		out[r.Metric] = r.Ranked
 	}
 	return out, nil
 }
@@ -383,40 +377,4 @@ func WinnersOrdered(cands []metrics.Candidate) ([]MetricWinner, error) {
 		out[i] = MetricWinner{Metric: r.Metric, Name: r.Ranked[0].Candidate.Name}
 	}
 	return out, nil
-}
-
-// Winners reduces RankAll to the winning candidate name per metric.
-// Callers that print should prefer WinnersOrdered.
-func Winners(cands []metrics.Candidate) (map[metrics.Metric]string, error) {
-	ordered, err := WinnersOrdered(cands)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[metrics.Metric]string, len(ordered))
-	for _, w := range ordered {
-		out[w.Metric] = w.Name
-	}
-	return out, nil
-}
-
-// SortByObjective returns the candidates sorted ascending by objective,
-// input preserved on ties. NaN objective values sort as +Inf (last), and
-// each objective is evaluated exactly once per candidate rather than once
-// per comparison.
-func SortByObjective(cands []metrics.Candidate, o Objective) []metrics.Candidate {
-	out := make([]metrics.Candidate, len(cands))
-	copy(out, cands)
-	vals := make([]float64, len(cands))
-	for i, c := range cands {
-		vals[i] = saneEval(o, c)
-	}
-	idx := make([]int, len(cands))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool { return vals[idx[i]] < vals[idx[j]] })
-	for i, j := range idx {
-		out[i] = cands[j]
-	}
-	return out
 }

@@ -196,51 +196,3 @@ func TestPowersOf2(t *testing.T) {
 		t.Error("empty range: expected error")
 	}
 }
-
-func TestWinnersAndRankAll(t *testing.T) {
-	cands := []metrics.Candidate{
-		cand("lean", 1, 4, 4, 1),
-		cand("fast", 4, 1, 1, 4),
-	}
-	winners, err := Winners(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(winners) != 6 {
-		t.Fatalf("winners for %d metrics, want 6", len(winners))
-	}
-	if winners[metrics.C2EP] != "lean" {
-		t.Errorf("C2EP winner = %s, want lean", winners[metrics.C2EP])
-	}
-	if winners[metrics.EDP] != "fast" {
-		t.Errorf("EDP winner = %s, want fast", winners[metrics.EDP])
-	}
-	ranked, err := RankAll(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for m, r := range ranked {
-		if len(r) != 2 {
-			t.Errorf("%s rank has %d entries", m, len(r))
-		}
-	}
-	if _, err := Winners(nil); err == nil {
-		t.Error("empty: expected error")
-	}
-}
-
-func TestSortByObjective(t *testing.T) {
-	cands := []metrics.Candidate{
-		cand("c", 3, 1, 1, 1),
-		cand("a", 1, 1, 1, 1),
-		cand("b", 2, 1, 1, 1),
-	}
-	sorted := SortByObjective(cands, Embodied)
-	if sorted[0].Name != "a" || sorted[2].Name != "c" {
-		t.Errorf("sorted order = %v, %v, %v", sorted[0].Name, sorted[1].Name, sorted[2].Name)
-	}
-	// Input untouched.
-	if cands[0].Name != "c" {
-		t.Error("SortByObjective mutated its input")
-	}
-}

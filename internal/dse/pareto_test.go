@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -57,7 +59,7 @@ func randomCands(n int, seed uint64) []metrics.Candidate {
 // ND matrix path against the reference implementation on random datasets,
 // including sizes above the parallel cutoff.
 func TestParetoFastMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17, 200, paretoNDParallelCutoff + 50} {
+	for _, n := range []int{1, 2, 3, 17, 200, scanParallelCutoff + 50} {
 		cands := randomCands(n, uint64(n)*7919+1)
 		for _, objs := range [][]Objective{
 			{Embodied, Delay},
@@ -147,25 +149,6 @@ func TestMinimizeNaN(t *testing.T) {
 	}
 }
 
-func TestSortByObjectiveNaN(t *testing.T) {
-	o := Objective{"embodied-or-nan", func(c metrics.Candidate) float64 {
-		if c.Name == "poisoned" {
-			return math.NaN()
-		}
-		return c.Embodied.Grams()
-	}}
-	cands := []metrics.Candidate{
-		cand("poisoned", 1, 1, 1, 1),
-		cand("b", 9, 1, 1, 1),
-		cand("a", 2, 1, 1, 1),
-	}
-	sorted := SortByObjective(cands, o)
-	if sorted[0].Name != "a" || sorted[1].Name != "b" || sorted[2].Name != "poisoned" {
-		t.Errorf("NaN should sort last: got %s, %s, %s",
-			sorted[0].Name, sorted[1].Name, sorted[2].Name)
-	}
-}
-
 // TestParetoNaNLoses: the frontier treats NaN like +Inf, so a NaN point is
 // dominated by any finite point rather than surviving unconditionally.
 func TestParetoNaNLoses(t *testing.T) {
@@ -206,14 +189,16 @@ func TestWinnersOrdered(t *testing.T) {
 			t.Errorf("winner[%d] metric = %s, want %s (metrics.All() order)", i, w.Metric, all[i])
 		}
 	}
-	// Agrees with the map form.
-	m, err := Winners(cands)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, w := range ordered {
-		if m[w.Metric] != w.Name {
-			t.Errorf("%s: ordered winner %q != map winner %q", w.Metric, w.Name, m[w.Metric])
+		switch w.Metric {
+		case metrics.C2EP:
+			if w.Name != "lean" {
+				t.Errorf("C2EP winner = %s, want lean", w.Name)
+			}
+		case metrics.EDP:
+			if w.Name != "fast" {
+				t.Errorf("EDP winner = %s, want fast", w.Name)
+			}
 		}
 	}
 
@@ -228,5 +213,99 @@ func TestWinnersOrdered(t *testing.T) {
 	}
 	if _, err := WinnersOrdered(nil); err == nil {
 		t.Error("empty: expected error")
+	}
+}
+
+// bruteNonDominated is the pairwise oracle for NonDominated, on a copy with
+// NaN read as +Inf.
+func bruteNonDominated(vals [][]float64) []bool {
+	sane := make([][]float64, len(vals))
+	for i, row := range vals {
+		sane[i] = make([]float64, len(row))
+		for j, v := range row {
+			if math.IsNaN(v) {
+				v = math.Inf(1)
+			}
+			sane[i][j] = v
+		}
+	}
+	keep := make([]bool, len(sane))
+	for i := range sane {
+		keep[i] = true
+		for j := range sane {
+			if i != j && dominatesVals(sane[j], sane[i]) {
+				keep[i] = false
+				break
+			}
+		}
+	}
+	return keep
+}
+
+// TestNonDominatedMatchesBrute holds the exported frontier core to the
+// pairwise oracle for 1, 2 and 3 columns on coarse integer grids (so ties
+// and duplicates are common) salted with ±Inf and NaN.
+func TestNonDominatedMatchesBrute(t *testing.T) {
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
+	for _, k := range []int{1, 2, 3} {
+		for _, n := range []int{0, 1, 2, 7, 60, scanParallelCutoff + 9} {
+			g := lcg(uint64(k*1000 + n))
+			vals := make([][]float64, n)
+			for i := range vals {
+				vals[i] = make([]float64, k)
+				for j := range vals[i] {
+					vals[i][j] = float64(int(g.next() * 5))
+					if g.next() < 0.05 {
+						vals[i][j] = specials[int(g.next()*3)]
+					}
+				}
+			}
+			want := bruteNonDominated(vals)
+			got, err := NonDominated(context.Background(), vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != n {
+				t.Fatalf("k=%d n=%d: %d verdicts", k, n, len(got))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d n=%d: row %d %v keep=%v, want %v", k, n, i, vals[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestNonDominatedNaNRewritten: a NaN entry is read, and left, as +Inf, so
+// the NaN row is dominated rather than dominating.
+func TestNonDominatedNaNRewritten(t *testing.T) {
+	vals := [][]float64{{math.NaN(), 0}, {1, 1}, {math.NaN(), 2}}
+	keep, err := NonDominated(context.Background(), vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (+Inf,0) and (1,1) are mutually non-dominated; (+Inf,2) loses to both.
+	if !keep[0] || !keep[1] || keep[2] {
+		t.Fatalf("keep = %v, want [true true false]", keep)
+	}
+	if !math.IsInf(vals[0][0], 1) {
+		t.Fatalf("NaN entry left as %v, want +Inf", vals[0][0])
+	}
+}
+
+// TestNonDominatedCancelled: the scan stops on a done context, on both the
+// sequential and the fanned-out path.
+func TestNonDominatedCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, n := range []int{10, scanParallelCutoff} {
+		vals := make([][]float64, n)
+		for i := range vals {
+			vals[i] = []float64{float64(i), float64(n - i), 0}
+		}
+		if _, err := NonDominated(ctx, vals); !errors.Is(err, context.Canceled) {
+			t.Errorf("n=%d: err = %v, want context.Canceled", n, err)
+		}
 	}
 }

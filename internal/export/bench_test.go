@@ -63,18 +63,18 @@ func millionFleet(b *testing.B) *fleet.Registry {
 	return millionReg
 }
 
-// BenchmarkExportEmit1M measures one generator walk + line-protocol render
+// BenchmarkExportEmit1M measures one registry walk + line-protocol render
 // over the million-device registry: the work done on the scheduler
 // goroutine per tick, which must never block an ingest. Reports lines/sec
 // alongside the usual per-op costs.
 func BenchmarkExportEmit1M(b *testing.B) {
-	gen := &FleetGenerator{Reg: millionFleet(b)}
+	reg := millionFleet(b)
 	var lines, raw int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := getBuf()
-		if err := gen.Emit(buf, testEpoch); err != nil {
+		if err := appendFleet(buf, reg, testEpoch); err != nil {
 			b.Fatal(err)
 		}
 		lines = bytes.Count(buf.Bytes(), []byte("\n"))
@@ -98,18 +98,17 @@ func BenchmarkExportFlush1M(b *testing.B) {
 	}))
 	defer srv.Close()
 
-	exp, err := New(Config{URLs: []string{srv.URL}}, &FleetGenerator{Reg: reg})
+	exp, err := New(Config{URLs: []string{srv.URL}}, reg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	gen := &FleetGenerator{Reg: reg}
 	var gzBytes int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf := getBuf()
-		if err := gen.Emit(buf, testEpoch); err != nil {
+		if err := appendFleet(buf, reg, testEpoch); err != nil {
 			b.Fatal(err)
 		}
 		gz, err := compress(ctx, buf.Bytes())

@@ -47,7 +47,7 @@ func chaosExporter(t *testing.T, url string, m *Metrics) *Exporter {
 		// the fault burst: this test is about drop accounting and
 		// recovery, the breaker path has its own test.
 		BreakerThreshold: 1000,
-	}, &FleetGenerator{Reg: seededFleet(t)})
+	}, seededFleet(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
-// Package export is actd's push telemetry pipeline: a per-generator
-// interval scheduler emits the fleet's carbon accounting as Prometheus
-// exposition lines into pooled buffers, a bounded queue absorbs backend
+// Package export is actd's push telemetry pipeline: a drift-free interval
+// deadline emits the fleet's carbon accounting as Prometheus exposition
+// lines into pooled buffers, a bounded queue absorbs backend
 // slowness by shedding the oldest payload (never by blocking a registry
 // walk), and a small worker pool gzips and delivers to an endpoint pool
 // with per-endpoint circuit breakers and token-bucket egress pacing.
@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"act/internal/fleet"
 	"act/internal/resilience"
 )
 
@@ -90,15 +91,13 @@ func (c Config) withDefaults() Config {
 // FlushAndDrain. All methods are safe for concurrent use.
 type Exporter struct {
 	cfg     Config
-	gens    []Generator
-	sched   *schedule
+	reg     *fleet.Registry
+	next    *deadline
 	q       *queue
 	pool    *endpointPool
 	metrics *Metrics
 	log     *slog.Logger
-
-	intervalNs atomic.Int64 // current emission interval, for the config API
-	rateBps    atomic.Int64
+	rateBps atomic.Int64
 
 	ctx     context.Context // cancels in-flight sends on abandoned drain
 	cancel  context.CancelFunc
@@ -108,19 +107,19 @@ type Exporter struct {
 	wg      sync.WaitGroup
 }
 
-// New builds an Exporter over the given generators.
-func New(cfg Config, gens ...Generator) (*Exporter, error) {
+// New builds an Exporter over the fleet registry reg.
+func New(cfg Config, reg *fleet.Registry) (*Exporter, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.URLs) == 0 {
 		return nil, fmt.Errorf("export: no endpoint URLs configured")
 	}
-	if len(gens) == 0 {
-		return nil, fmt.Errorf("export: no generators configured")
+	if reg == nil {
+		return nil, fmt.Errorf("export: no fleet registry configured")
 	}
 	e := &Exporter{
 		cfg:     cfg,
-		gens:    gens,
-		sched:   newSchedule(),
+		reg:     reg,
+		next:    newDeadline(cfg.Interval, cfg.Now()),
 		metrics: cfg.Metrics,
 		log:     cfg.Logger,
 		stopCh:  make(chan struct{}),
@@ -139,11 +138,6 @@ func New(cfg Config, gens ...Generator) (*Exporter, error) {
 			Now:              cfg.Now,
 		})
 	e.pool.onSend = e.metrics.send
-	e.intervalNs.Store(int64(cfg.Interval))
-	now := cfg.Now()
-	for _, g := range gens {
-		e.sched.add(g, cfg.Interval, now)
-	}
 	return e, nil
 }
 
@@ -160,52 +154,43 @@ func (e *Exporter) Start() {
 	}
 }
 
-// schedLoop is the single scheduling goroutine: pop due generators, emit,
-// sleep until the earliest deadline or a wake (interval change).
+// schedLoop is the single scheduling goroutine: emit when the deadline is
+// due, sleep until the next deadline or a wake (interval change).
 func (e *Exporter) schedLoop() {
 	defer e.wg.Done()
 	for {
-		fired, wait := e.sched.due(e.cfg.Now())
-		for _, f := range fired {
-			e.emit(f)
+		at, fired, wait := e.next.due(e.cfg.Now())
+		if fired {
+			e.emit(at)
 		}
-		var timerC <-chan time.Time
-		var timer *time.Timer
-		if wait > 0 {
-			timer = time.NewTimer(wait)
-			timerC = timer.C
-		}
+		timer := time.NewTimer(wait)
 		select {
 		case <-e.stopCh:
-			if timer != nil {
-				timer.Stop()
-			}
-			return
-		case <-e.sched.wake:
-		case <-timerC:
-		}
-		if timer != nil {
 			timer.Stop()
+			return
+		case <-e.next.wake:
+		case <-timer.C:
 		}
+		timer.Stop()
 	}
 }
 
-// emit runs one generator tick into a pooled buffer and enqueues the
+// emit renders one tick stamped at into a pooled buffer and enqueues the
 // payload. An emission failure is counted and logged, never fatal: the
 // next tick retries by construction.
-func (e *Exporter) emit(f firedTick) {
-	e.metrics.tick(f.gen.Name())
+func (e *Exporter) emit(at time.Time) {
+	e.metrics.tick()
 	buf := getBuf()
-	if err := f.gen.Emit(buf, f.at); err != nil {
+	if err := appendFleet(buf, e.reg, at); err != nil {
 		e.metrics.emitError()
 		if e.log != nil {
-			e.log.Warn("export emit failed", "generator", f.gen.Name(), "error", err)
+			e.log.Warn("export emit failed", "error", err)
 		}
 		putBuf(buf)
 		return
 	}
 	e.metrics.emitted(bytes.Count(buf.Bytes(), []byte("\n")), buf.Len())
-	if !e.q.push(&payload{gen: f.gen.Name(), at: f.at, buf: buf}) {
+	if !e.q.push(&payload{at: at, buf: buf}) {
 		e.metrics.drop(dropShutdown)
 		putBuf(buf)
 	}
@@ -230,7 +215,7 @@ func (e *Exporter) deliver(p *payload) {
 	if err != nil {
 		e.metrics.drop(dropCompress)
 		if e.log != nil {
-			e.log.Warn("export compress failed", "generator", p.gen, "error", err)
+			e.log.Warn("export compress failed", "error", err)
 		}
 		return
 	}
@@ -239,16 +224,16 @@ func (e *Exporter) deliver(p *payload) {
 	if err := e.pool.send(e.ctx, gz.Bytes()); err != nil {
 		e.metrics.drop(dropSendFailed)
 		if e.log != nil {
-			e.log.Warn("export send failed", "generator", p.gen, "error", err)
+			e.log.Warn("export send failed", "error", err)
 		}
 		return
 	}
 	e.metrics.flush(e.cfg.Now().Sub(p.at).Seconds())
 }
 
-// FlushAndDrain stops the pipeline gracefully: the scheduler halts, every
-// generator emits one final tick (so the tail of the series is not lost to
-// shutdown timing), and the workers drain the queue. If ctx lapses first,
+// FlushAndDrain stops the pipeline gracefully: the scheduler halts, one
+// final tick is emitted (so the tail of the series is not lost to shutdown
+// timing), and the workers drain the queue. If ctx lapses first,
 // in-flight sends are cancelled and whatever remains queued is dropped
 // (counted under reason="shutdown").
 func (e *Exporter) FlushAndDrain(ctx context.Context) error {
@@ -257,11 +242,7 @@ func (e *Exporter) FlushAndDrain(ctx context.Context) error {
 	}
 	close(e.stopCh)
 	if e.started.Load() {
-		// One final emission per generator, stamped now.
-		now := e.cfg.Now()
-		for _, g := range e.gens {
-			e.emit(firedTick{gen: g, at: now})
-		}
+		e.emit(e.cfg.Now()) // the final tick, stamped now
 	}
 	e.q.close()
 	done := make(chan struct{})
@@ -289,17 +270,16 @@ func (e *Exporter) FlushAndDrain(ctx context.Context) error {
 
 // Interval reports the current emission interval.
 func (e *Exporter) Interval() time.Duration {
-	return time.Duration(e.intervalNs.Load())
+	return e.next.period()
 }
 
-// SetInterval retunes every generator's emission period at runtime (the
-// PUT /v1/export/config path). The next tick is one new interval away.
+// SetInterval retunes the emission period at runtime (the PUT
+// /v1/export/config path). The next tick is one new interval away.
 func (e *Exporter) SetInterval(d time.Duration) error {
 	if d <= 0 {
 		return fmt.Errorf("export: non-positive interval %v", d)
 	}
-	e.intervalNs.Store(int64(d))
-	e.sched.setInterval(d, e.cfg.Now())
+	e.next.setInterval(d, e.cfg.Now())
 	return nil
 }
 
@@ -327,8 +307,5 @@ func (e *Exporter) URLs() []string {
 	return urls
 }
 
-// QueueDepth reports payloads currently awaiting delivery (gauge hook).
-func (e *Exporter) QueueDepth() int { return e.q.depth() }
-
-// HealthyEndpoints reports endpoints currently in rotation (gauge hook).
+// HealthyEndpoints reports endpoints currently in rotation.
 func (e *Exporter) HealthyEndpoints() int { return e.pool.healthy() }

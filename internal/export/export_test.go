@@ -62,7 +62,7 @@ var testTS = time.Date(2026, 3, 1, 12, 0, 0, 0, time.UTC)
 // fleet against a committed golden, so a change to series names, label
 // order or value formatting shows up as a diff.
 func TestLineProtoGolden(t *testing.T) {
-	got, err := RenderOnce([]Generator{&FleetGenerator{Reg: seededFleet(t)}}, testTS)
+	got, err := Render(seededFleet(t), testTS)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +121,18 @@ func (s *sink) count() int {
 
 // TestPushMatchesRenderOnce is the byte-identity contract between the
 // one-shot CLI path and the push pipeline: the final flush tick's pushed
-// payload, gunzipped, must equal RenderOnce at the same timestamp.
+// payload, gunzipped, must equal Render at the same timestamp.
 func TestPushMatchesRenderOnce(t *testing.T) {
 	reg := seededFleet(t)
 	snk := &sink{}
 	srv := httptest.NewServer(snk.handler())
 	defer srv.Close()
 
-	gen := &FleetGenerator{Reg: reg}
 	exp, err := New(Config{
 		URLs:     []string{srv.URL},
 		Interval: time.Hour, // never fires; the flush tick is the only emission
 		Now:      func() time.Time { return testTS },
-	}, gen)
+	}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,12 +146,12 @@ func TestPushMatchesRenderOnce(t *testing.T) {
 	if snk.count() != 1 {
 		t.Fatalf("sink received %d payloads, want 1", snk.count())
 	}
-	want, err := RenderOnce([]Generator{gen}, testTS)
+	want, err := Render(reg, testTS)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(snk.bodies[0], want) {
-		t.Fatalf("pushed payload differs from RenderOnce:\n%s\nwant:\n%s", snk.bodies[0], want)
+		t.Fatalf("pushed payload differs from Render:\n%s\nwant:\n%s", snk.bodies[0], want)
 	}
 	if len(want) == 0 || !strings.HasPrefix(string(want), "act_fleet_devices ") {
 		t.Fatalf("unexpected payload head: %q", head(want))
@@ -176,7 +175,7 @@ func TestScheduledTicksFlow(t *testing.T) {
 	exp, err := New(Config{
 		URLs:     []string{srv.URL},
 		Interval: 5 * time.Millisecond,
-	}, &FleetGenerator{Reg: seededFleet(t)})
+	}, seededFleet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestEndpointFailover(t *testing.T) {
 		BreakerThreshold: 2,
 		BreakerOpenFor:   time.Hour,
 		Client:           doer,
-	}, &FleetGenerator{Reg: seededFleet(t)})
+	}, seededFleet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +256,9 @@ func TestEndpointFailover(t *testing.T) {
 // and push never blocks.
 func TestQueueDropsOldest(t *testing.T) {
 	var dropped []string
-	q := newQueue(2, func(p *payload) { dropped = append(dropped, p.gen) })
+	q := newQueue(2, func(p *payload) { dropped = append(dropped, p.buf.String()) })
 	for _, name := range []string{"a", "b", "c", "d"} {
-		if !q.push(&payload{gen: name, buf: bytes.NewBufferString(name)}) {
+		if !q.push(&payload{buf: bytes.NewBufferString(name)}) {
 			t.Fatalf("push %s rejected", name)
 		}
 	}
@@ -273,7 +272,7 @@ func TestQueueDropsOldest(t *testing.T) {
 		if !ok {
 			break
 		}
-		got = append(got, p.gen)
+		got = append(got, p.buf.String())
 	}
 	if len(got) != 2 || got[0] != "c" || got[1] != "d" {
 		t.Fatalf("drained %v, want [c d]", got)
@@ -300,7 +299,7 @@ func TestBackpressureDrop(t *testing.T) {
 		QueueDepth: 1,
 		Workers:    1,
 		Metrics:    m,
-	}, &FleetGenerator{Reg: seededFleet(t)})
+	}, seededFleet(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,40 +345,46 @@ func TestTokenBucketPacing(t *testing.T) {
 	}
 }
 
-// TestSetInterval re-anchors the schedule: after tightening the interval
-// the next due tick lands one new interval out.
+// TestSetInterval re-anchors the deadline: after tightening the interval
+// the next tick lands one new interval out, stamped with that deadline.
 func TestSetInterval(t *testing.T) {
-	s := newSchedule()
-	gen := &FleetGenerator{}
 	start := testEpoch
-	s.add(gen, time.Hour, start)
-	fired, wait := s.due(start.Add(time.Minute))
-	if len(fired) != 0 || wait != 59*time.Minute {
-		t.Fatalf("due = %d fired, wait %v; want 0 fired, 59m", len(fired), wait)
+	d := newDeadline(time.Hour, start)
+	_, fired, wait := d.due(start.Add(time.Minute))
+	if fired || wait != 59*time.Minute {
+		t.Fatalf("due = fired %v, wait %v; want not fired, 59m", fired, wait)
 	}
-	s.setInterval(time.Second, start.Add(time.Minute))
-	fired, _ = s.due(start.Add(time.Minute + 2*time.Second))
-	if len(fired) != 1 {
-		t.Fatalf("after setInterval: %d fired, want 1", len(fired))
+	d.setInterval(time.Second, start.Add(time.Minute))
+	if got := d.period(); got != time.Second {
+		t.Fatalf("period = %v after setInterval, want 1s", got)
+	}
+	at, fired, _ := d.due(start.Add(time.Minute + 2*time.Second))
+	if !fired {
+		t.Fatal("after setInterval: no tick fired, want 1")
+	}
+	if want := start.Add(time.Minute + time.Second); !at.Equal(want) {
+		t.Fatalf("tick stamped %v, want %v (one new interval after the change)", at, want)
 	}
 }
 
-// TestSchedulerDriftFree: a late pop advances the deadline in whole
+// TestSchedulerDriftFree: a late check advances the deadline in whole
 // intervals from the original grid, never from the observation time.
 func TestSchedulerDriftFree(t *testing.T) {
-	s := newSchedule()
-	gen := &FleetGenerator{}
-	s.add(gen, 10*time.Second, testEpoch)
+	d := newDeadline(10*time.Second, testEpoch)
 	// First tick due at +10s; we show up late at +37s.
-	fired, wait := s.due(testEpoch.Add(37 * time.Second))
-	if len(fired) != 1 {
-		t.Fatalf("fired %d, want 1", len(fired))
+	at, fired, wait := d.due(testEpoch.Add(37 * time.Second))
+	if !fired {
+		t.Fatal("no tick fired, want 1")
 	}
-	if got := fired[0].at; !got.Equal(testEpoch.Add(10 * time.Second)) {
-		t.Fatalf("tick stamped %v, want the original +10s deadline", got)
+	if !at.Equal(testEpoch.Add(10 * time.Second)) {
+		t.Fatalf("tick stamped %v, want the original +10s deadline", at)
 	}
 	// Next deadline must sit on the grid at +40s (3s away), not +47s.
 	if wait != 3*time.Second {
 		t.Fatalf("wait = %v, want 3s (grid-aligned)", wait)
+	}
+	// The skipped +20s and +30s deadlines are not replayed.
+	if _, fired, _ := d.due(testEpoch.Add(38 * time.Second)); fired {
+		t.Fatal("a missed interval was replayed")
 	}
 }

@@ -2,8 +2,8 @@
 // actd's /metrics renders (internal/prom is shared for exactly this), so
 // one scrape shows both the service's request metrics and the push
 // pipeline's health: ticks emitted, payload bytes before and after
-// compression, queue depth and drops, per-endpoint send outcomes, and
-// flush latency from tick deadline to delivered.
+// compression, drops, per-endpoint send outcomes, and flush latency from
+// tick deadline to delivered.
 
 package export
 
@@ -14,7 +14,7 @@ import (
 // Metrics is the exporter's self-instrumentation. A nil *Metrics is valid
 // (every method no-ops), so the pipeline can run unregistered in tests.
 type Metrics struct {
-	ticks      *prom.CounterVec // act_export_ticks_total{generator}
+	ticks      *prom.CounterVec // act_export_ticks_total{generator="fleet"}
 	lines      *prom.Counter    // act_export_lines_total
 	rawBytes   *prom.Counter    // act_export_bytes_total
 	gzBytes    *prom.Counter    // act_export_compressed_bytes_total
@@ -32,9 +32,9 @@ const (
 	dropShutdown   = "shutdown"
 )
 
-// NewMetrics registers the exporter's instruments on reg. The two gauges
-// that need live pipeline state (queue depth, healthy endpoints) are wired
-// by the Exporter itself once it exists.
+// NewMetrics registers the exporter's instruments on reg. They are all
+// counters and one histogram; no gauge of live pipeline state (queue
+// depth, healthy endpoints) is registered.
 func NewMetrics(reg *prom.Registry) *Metrics {
 	return &Metrics{
 		ticks: reg.NewCounterVec("act_export_ticks_total",
@@ -57,9 +57,9 @@ func NewMetrics(reg *prom.Registry) *Metrics {
 	}
 }
 
-func (m *Metrics) tick(gen string) {
+func (m *Metrics) tick() {
 	if m != nil {
-		m.ticks.With(gen).Add(1)
+		m.ticks.With("fleet").Add(1)
 	}
 }
 

@@ -1,4 +1,4 @@
-// The bounded hand-off between emission and delivery. A generator tick
+// The bounded hand-off between emission and delivery. An emission tick
 // pushes its payload here and returns immediately: when the queue is full
 // the oldest payload is dropped (and counted) to make room. Emission — a
 // walk over the live fleet registry's shard locks — is never blocked by a
@@ -13,11 +13,10 @@ import (
 	"time"
 )
 
-// payload is one emitted tick: the generator's exposition buffer (owned by
-// the payload once enqueued; returned to the buffer pool after delivery or
-// drop) and the tick timestamp for latency accounting.
+// payload is one emitted tick: the exposition buffer (owned by the payload
+// once enqueued; returned to the buffer pool after delivery or drop) and
+// the tick timestamp for latency accounting.
 type payload struct {
-	gen string
 	at  time.Time
 	buf *bytes.Buffer
 }
@@ -85,13 +84,6 @@ func (q *queue) pop() (p *payload, ok bool) {
 	q.head = (q.head + 1) % len(q.items)
 	q.n--
 	return p, true
-}
-
-// depth reports the current queue length.
-func (q *queue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
 }
 
 // close stops accepting pushes and wakes all poppers; queued payloads are

@@ -1,108 +1,66 @@
-// The interval scheduler: a min-heap of per-generator deadlines, popped by
-// the exporter's single scheduling goroutine. Ticks are drift-free — a
-// deadline advances by whole intervals from its own previous deadline, not
-// from whenever the goroutine got around to it — so a 10s series stays on
-// the :00/:10/:20 grid even when one tick runs long. A slow tick never
-// bunches catch-up emissions: the advance loop skips whole missed
-// intervals rather than replaying them.
+// The emission deadline: one next-tick time for the exporter's single
+// scheduling goroutine. Ticks are drift-free — the deadline advances by
+// whole intervals from its own previous value, not from whenever the
+// goroutine got around to it — so a 10s series stays on the :00/:10/:20
+// grid even when one tick runs long. A slow tick never bunches catch-up
+// emissions: the advance loop skips whole missed intervals rather than
+// replaying them.
 
 package export
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
 
-// schedEntry is one generator's place in the schedule.
-type schedEntry struct {
-	gen      Generator
+// deadline is the mutable next-tick time. due and setInterval are called
+// from different goroutines (the scheduler loop vs. the config API), so it
+// is mutex-guarded.
+type deadline struct {
+	mu       sync.Mutex
 	interval time.Duration
 	next     time.Time
-	idx      int // heap index, maintained by deadlineHeap
+	wake     chan struct{} // signaled when the deadline moved
 }
 
-// deadlineHeap orders entries by soonest deadline.
-type deadlineHeap []*schedEntry
-
-func (h deadlineHeap) Len() int           { return len(h) }
-func (h deadlineHeap) Less(i, j int) bool { return h[i].next.Before(h[j].next) }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
-func (h *deadlineHeap) Push(x any)        { e := x.(*schedEntry); e.idx = len(*h); *h = append(*h, e) }
-func (h *deadlineHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h deadlineHeap) peek() *schedEntry  { return h[0] }
-
-// schedule is the mutable deadline set. due and setInterval are called from
-// different goroutines (the scheduler loop vs. the config API), so the
-// whole structure is mutex-guarded; the heap operations are O(log n) in the
-// generator count, which is tiny.
-type schedule struct {
-	mu   sync.Mutex
-	h    deadlineHeap
-	wake chan struct{} // signaled when a deadline moved earlier
+// newDeadline sets the first tick one interval from now.
+func newDeadline(interval time.Duration, now time.Time) *deadline {
+	return &deadline{interval: interval, next: now.Add(interval), wake: make(chan struct{}, 1)}
 }
 
-func newSchedule() *schedule {
-	return &schedule{wake: make(chan struct{}, 1)}
-}
-
-// add registers a generator; its first tick is one interval from now.
-func (s *schedule) add(g Generator, interval time.Duration, now time.Time) {
-	s.mu.Lock()
-	heap.Push(&s.h, &schedEntry{gen: g, interval: interval, next: now.Add(interval)})
-	s.mu.Unlock()
-	s.notify()
-}
-
-// due pops every generator whose deadline has passed, advancing each by
-// whole intervals past now (the drift-free step), and returns them with
-// the deadline each fired at. The second return is how long until the next
-// deadline (0 if the schedule is empty — caller waits on wake alone).
-func (s *schedule) due(now time.Time) (fired []firedTick, wait time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.h) > 0 && !s.h.peek().next.After(now) {
-		e := s.h.peek()
-		tickAt := e.next
-		for !e.next.After(now) {
-			e.next = e.next.Add(e.interval)
+// due reports whether the deadline has passed at now. When it has, at is
+// the deadline it fired at — the timestamp the tick's samples carry, so a
+// series sits on the interval grid regardless of scheduling jitter — and
+// the deadline advances by whole intervals past now (the drift-free step).
+// wait is how long until the next deadline; it is always positive.
+func (d *deadline) due(now time.Time) (at time.Time, fired bool, wait time.Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.next.After(now) {
+		at, fired = d.next, true
+		for !d.next.After(now) {
+			d.next = d.next.Add(d.interval)
 		}
-		heap.Fix(&s.h, 0)
-		fired = append(fired, firedTick{gen: e.gen, at: tickAt})
 	}
-	if len(s.h) > 0 {
-		wait = s.h.peek().next.Sub(now)
-	}
-	return fired, wait
+	return at, fired, d.next.Sub(now)
 }
 
-// firedTick is one generator due for emission, with the deadline it fired
-// at — the timestamp its samples carry, so a series' timestamps sit on the
-// interval grid regardless of scheduling jitter.
-type firedTick struct {
-	gen Generator
-	at  time.Time
+// period reports the current interval.
+func (d *deadline) period() time.Duration {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.interval
 }
 
-// setInterval retunes every generator to the new interval, re-anchoring
-// the next tick one interval from now. (All generators share the exporter
-// interval today; per-generator tuning is a config-surface addition, not a
-// scheduler change.)
-func (s *schedule) setInterval(d time.Duration, now time.Time) {
-	s.mu.Lock()
-	for _, e := range s.h {
-		e.interval = d
-		e.next = now.Add(d)
-	}
-	heap.Init(&s.h)
-	s.mu.Unlock()
-	s.notify()
-}
-
-// notify nudges the scheduler loop to re-read the earliest deadline.
-func (s *schedule) notify() {
+// setInterval retunes the interval, re-anchoring the next tick one new
+// interval from now, and nudges the scheduler loop to re-read it.
+func (d *deadline) setInterval(interval time.Duration, now time.Time) {
+	d.mu.Lock()
+	d.interval = interval
+	d.next = now.Add(interval)
+	d.mu.Unlock()
 	select {
-	case s.wake <- struct{}{}:
+	case d.wake <- struct{}{}:
 	default:
 	}
 }

@@ -213,41 +213,6 @@ func StaticRegions() IntensityResolver {
 	}
 }
 
-// TraceResolver resolves the listed regions to the mean intensity of their
-// trace — the time-resolved OPCF path, fed by internal/grid dispatch
-// traces or replayed feeds. The mean is taken over one day (or the trace's
-// measured bound, if shorter), computed once per region and cached; other
-// regions fall through to fallback.
-func TraceResolver(traces map[string]intensity.Trace, fallback IntensityResolver) IntensityResolver {
-	var mu sync.Mutex
-	cache := map[string]units.CarbonIntensity{}
-	return func(region string) (units.CarbonIntensity, error) {
-		key := canon(region)
-		tr, ok := traces[key]
-		if !ok {
-			if fallback == nil {
-				return 0, acterr.Invalid("region", "unknown region %q", region)
-			}
-			return fallback(region)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		if ci, ok := cache[key]; ok {
-			return ci, nil
-		}
-		window := 24 * time.Hour
-		if b, ok := tr.(intensity.Bounded); ok && b.Bound() < window {
-			window = b.Bound()
-		}
-		ci, err := intensity.Average(tr, 0, window, time.Hour)
-		if err != nil {
-			return 0, fmt.Errorf("fleet: region %q trace: %w", region, err)
-		}
-		cache[key] = ci
-		return ci, nil
-	}
-}
-
 // Config tunes a Registry. Zero fields take the documented defaults.
 type Config struct {
 	// Shards is the lock-domain count (default 64). A summary is O(Shards).

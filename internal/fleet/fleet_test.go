@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"act/internal/acterr"
-	"act/internal/intensity"
 	"act/internal/scenario"
 	"act/internal/units"
 )
@@ -431,27 +430,14 @@ func TestResolvers(t *testing.T) {
 		t.Fatalf("unknown region: %v", err)
 	}
 
-	// A traced region resolves to its daily mean; others fall back.
-	tr, err := intensity.Clip(intensity.Constant(units.GramsPerKWh(100)), 6*time.Hour)
-	if err != nil {
-		t.Fatal(err)
+	// Registry-level: a registry prices operational at its resolver's
+	// intensity, here a custom one for a region Table 6 lacks.
+	res := func(region string) (units.CarbonIntensity, error) {
+		if region == "iceland" {
+			return units.GramsPerKWh(100), nil
+		}
+		return static(region)
 	}
-	res := TraceResolver(map[string]intensity.Trace{"iceland": tr}, static)
-	got, err := res("Iceland")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != units.GramsPerKWh(100) {
-		t.Fatalf("traced mean = %v, want 100 g/kWh", got)
-	}
-	if _, err := res("united-states"); err != nil {
-		t.Fatalf("fallback region failed: %v", err)
-	}
-	if _, err := res("atlantis"); !acterr.IsInvalid(err) {
-		t.Fatalf("unknown region through fallback: %v", err)
-	}
-
-	// Registry-level: a traced registry prices operational at the trace mean.
 	reg := New(Config{Shards: 2, Resolver: res})
 	dev := testDevice("d", 0, "iceland")
 	if _, err := reg.Upsert(dev); err != nil {
@@ -461,7 +447,7 @@ func TestResolvers(t *testing.T) {
 	hours := dev.Retired.Sub(dev.Deployed).Hours()
 	wantOp := units.GramsPerKWh(100).Emitted(units.KilowattHours(dev.Spec.Usage.PowerW * hours / 1000)).Grams()
 	if math.Abs(doc.OperationalG-wantOp) > 1e-6*wantOp {
-		t.Fatalf("traced operational = %v, want %v", doc.OperationalG, wantOp)
+		t.Fatalf("resolved operational = %v, want %v", doc.OperationalG, wantOp)
 	}
 }
 

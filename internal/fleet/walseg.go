@@ -367,13 +367,6 @@ func (w *segWAL) Stats() (segments int, bytes int64) {
 	return segments, bytes
 }
 
-// ActiveSeq reports the active segment's sequence number.
-func (w *segWAL) ActiveSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
-}
-
 // Close closes the active segment handle. The log is unusable afterwards.
 func (w *segWAL) Close() error {
 	w.mu.Lock()

@@ -9,6 +9,7 @@ import (
 
 	"act/internal/acterr"
 	"act/internal/colbatch"
+	"act/internal/dse"
 	"act/internal/metrics"
 	"act/internal/scenario"
 	"act/internal/units"
@@ -282,7 +283,8 @@ func hostEvalError(pos Pos, err error) error {
 
 // hostPareto is pareto(points, fields) → the non-dominated subset of
 // points (maps) under lower-is-better on every named numeric field,
-// preserving input order.
+// preserving input order. The frontier is dse.NonDominated, the core
+// /v1/sweep's frontier runs, so a NaN field reads as +Inf there too.
 func hostPareto(in *interp, pos Pos, args []Value) (Value, error) {
 	if err := argCount("pareto", pos, args, 2, 2); err != nil {
 		return nil, err
@@ -331,27 +333,18 @@ func hostPareto(in *interp, pos Pos, args []Value) (Value, error) {
 		}
 		coords[i] = row
 	}
-	dominates := func(a, b []float64) bool {
-		strict := false
-		for j := range a {
-			if a[j] > b[j] {
-				return false
-			}
-			if a[j] < b[j] {
-				strict = true
-			}
+	keep, err := dse.NonDominated(in.ctx, coords)
+	if err != nil {
+		// Only a done context fails the frontier; checkCtx attributes it
+		// to the caller or to the script's own deadline.
+		if cerr := in.checkCtx(); cerr != nil {
+			return nil, cerr
 		}
-		return strict
+		return nil, err
 	}
 	out := &List{}
-	for i := 0; i < n; i++ {
-		dominated := false
-		for j := 0; j < n && !dominated; j++ {
-			if i != j && dominates(coords[j], coords[i]) {
-				dominated = true
-			}
-		}
-		if !dominated {
+	for i, k := range keep {
+		if k {
 			out.Elems = append(out.Elems, pts.Elems[i])
 		}
 	}

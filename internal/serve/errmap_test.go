@@ -263,6 +263,8 @@ func TestErrorContractAllRoutes(t *testing.T) {
 			"telemetry export is not configured on this server"},
 		{"export-put-no-exporter", "member", "PUT", "/v1/export/config", `{"version":1,"interval_ms":1000}`, http.StatusNotFound, codeNotFound, "",
 			"telemetry export is not configured on this server"},
+		{"export-put-over-cap", "main", "PUT", "/v1/export/config", `{"version":1,"interval_ms":1000,"pad":"` + strings.Repeat("x", 1<<16) + `"}`, http.StatusRequestEntityTooLarge, codeTooLarge, "",
+			"request body exceeds 65536 bytes"},
 	}
 	for _, c := range more {
 		t.Run(c.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"net/http"
 	"time"
 
@@ -69,10 +68,9 @@ func (s *Server) handleExportConfigPut(w http.ResponseWriter, r *http.Request) e
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		// A config document past its own 64 KiB cap answers 400, not
-		// the server body limit's 413, so the chain is flattened where
-		// classify would find the *http.MaxBytesError.
-		return badRequest(errors.New(err.Error()))
+		// A document past its own 64 KiB cap keeps its *http.MaxBytesError
+		// and answers 413, as every other body route does.
+		return badRequest(err)
 	}
 	if req.IntervalMS <= 0 {
 		return acterr.Invalid("interval_ms", "non-positive interval %d", req.IntervalMS)

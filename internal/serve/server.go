@@ -96,10 +96,8 @@ type Config struct {
 	BreakerOpenFor time.Duration
 
 	// FleetShards is the fleet registry's lock-domain count (default 64).
+	// Device regions resolve to the paper's Table 6 averages.
 	FleetShards int
-	// FleetResolver maps fleet device regions to operational grid
-	// intensity (default the paper's Table 6 averages).
-	FleetResolver fleet.IntensityResolver
 
 	// ScriptMaxSteps caps evaluator steps per /v1/script program
 	// (default script.DefaultMaxSteps; negative disables the cap).
@@ -207,9 +205,8 @@ func New(cfg Config) *Server {
 		reqIDs: newReqIDSource(),
 	}
 	s.fleet = fleet.New(fleet.Config{
-		Shards:   cfg.FleetShards,
-		Resolver: cfg.FleetResolver,
-		Workers:  cfg.Workers,
+		Shards:  cfg.FleetShards,
+		Workers: cfg.Workers,
 	})
 	s.mRequests = s.reg.NewCounterVec("actd_requests_total",
 		"API requests served, by handler and HTTP status code.", "handler", "code")

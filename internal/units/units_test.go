@@ -127,135 +127,6 @@ func TestStrings(t *testing.T) {
 	}
 }
 
-func TestParseMass(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64 // grams
-	}{
-		{"250g", 250},
-		{"1.5 kg", 1500},
-		{"0.02t", 20000},
-		{"3.3ug", 3.3e-6},
-		{"3.3µg", 3.3e-6},
-		{"12mg", 0.012},
-		{"17 kgCO2", 17000},
-		{"17 kg CO2", 17000},
-		{"42", 42},
-		{"1e3 g", 1000},
-	}
-	for _, c := range cases {
-		m, err := ParseMass(c.in)
-		if err != nil {
-			t.Errorf("ParseMass(%q): %v", c.in, err)
-			continue
-		}
-		approx(t, m.Grams(), c.want, 1e-12, "ParseMass("+c.in+")")
-	}
-	for _, bad := range []string{"", "kg", "12 lb", "x12g"} {
-		if _, err := ParseMass(bad); err == nil {
-			t.Errorf("ParseMass(%q): expected error", bad)
-		}
-	}
-}
-
-func TestParseEnergy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want float64 // joules
-	}{
-		{"40mJ", 0.04},
-		{"3 J", 3},
-		{"2kJ", 2000},
-		{"5Wh", 18000},
-		{"1.2kWh", 4.32e6},
-		{"0.001MWh", 3.6e6},
-	}
-	for _, c := range cases {
-		e, err := ParseEnergy(c.in)
-		if err != nil {
-			t.Errorf("ParseEnergy(%q): %v", c.in, err)
-			continue
-		}
-		approx(t, e.Joules(), c.want, 1e-12, "ParseEnergy("+c.in+")")
-	}
-	if _, err := ParseEnergy("5 BTU"); err == nil {
-		t.Error("ParseEnergy(BTU): expected error")
-	}
-}
-
-func TestParsePower(t *testing.T) {
-	p, err := ParsePower("450 mW")
-	if err != nil || p.Watts() != 0.45 {
-		t.Errorf("ParsePower(450 mW) = %v, %v", p, err)
-	}
-	p, err = ParsePower("1.1kW")
-	if err != nil || p.Watts() != 1100 {
-		t.Errorf("ParsePower(1.1kW) = %v, %v", p, err)
-	}
-	if _, err := ParsePower("3 hp"); err == nil {
-		t.Error("ParsePower(hp): expected error")
-	}
-}
-
-func TestParseArea(t *testing.T) {
-	a, err := ParseArea("83.5mm2")
-	if err != nil || a.MM2() != 83.5 {
-		t.Errorf("ParseArea(83.5mm2) = %v, %v", a, err)
-	}
-	a, err = ParseArea("1 cm²")
-	if err != nil || a.MM2() != 100 {
-		t.Errorf("ParseArea(1 cm²) = %v, %v", a, err)
-	}
-	if _, err := ParseArea("2 acres"); err == nil {
-		t.Error("ParseArea(acres): expected error")
-	}
-}
-
-func TestParseCapacity(t *testing.T) {
-	c, err := ParseCapacity("64GB")
-	if err != nil || c.Gigabytes() != 64 {
-		t.Errorf("ParseCapacity(64GB) = %v, %v", c, err)
-	}
-	c, err = ParseCapacity("31TB")
-	if err != nil || c.Gigabytes() != 31000 {
-		t.Errorf("ParseCapacity(31TB) = %v, %v", c, err)
-	}
-	if _, err := ParseCapacity("12KiB"); err == nil {
-		t.Error("ParseCapacity(KiB): expected error")
-	}
-}
-
-func TestParseCarbonIntensity(t *testing.T) {
-	ci, err := ParseCarbonIntensity("300g/kWh")
-	if err != nil || ci.GramsPerKWh() != 300 {
-		t.Errorf("ParseCarbonIntensity = %v, %v", ci, err)
-	}
-	ci, err = ParseCarbonIntensity("41 gCO2/kWh")
-	if err != nil || ci.GramsPerKWh() != 41 {
-		t.Errorf("ParseCarbonIntensity = %v, %v", ci, err)
-	}
-	if _, err := ParseCarbonIntensity("12 mol/kWh"); err == nil {
-		t.Error("ParseCarbonIntensity(mol): expected error")
-	}
-}
-
-// Property: parsing the formatted value of a quantity loses at most the
-// precision of the %.3g rendering.
-func TestQuickMassStringParseRoundTrip(t *testing.T) {
-	f := func(v float64) bool {
-		g := math.Abs(math.Mod(v, 1e9)) + 1e-6 // keep in a printable range
-		m := Grams(g)
-		parsed, err := ParseMass(m.String())
-		if err != nil {
-			return false
-		}
-		return math.Abs(parsed.Grams()-g) <= 0.01*g
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: energy computed by Power.Over is linear in both power and time.
 func TestQuickPowerOverLinearity(t *testing.T) {
 	f := func(w uint16, ms uint16) bool {
