@@ -196,3 +196,41 @@ func TestPowersOf2(t *testing.T) {
 		t.Error("empty range: expected error")
 	}
 }
+
+func TestWinnersAndRankAll(t *testing.T) {
+	cands := []metrics.Candidate{
+		cand("lean", 1, 4, 4, 1),
+		cand("fast", 4, 1, 1, 4),
+	}
+	winners, err := WinnersOrdered(cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(winners) != 6 {
+		t.Fatalf("winners for %d metrics, want 6", len(winners))
+	}
+	for _, w := range winners {
+		switch w.Metric {
+		case metrics.C2EP:
+			if w.Name != "lean" {
+				t.Errorf("C2EP winner = %s, want lean", w.Name)
+			}
+		case metrics.EDP:
+			if w.Name != "fast" {
+				t.Errorf("EDP winner = %s, want fast", w.Name)
+			}
+		}
+	}
+	ranked, err := RankAllOrdered(cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ranked {
+		if len(r.Ranked) != 2 {
+			t.Errorf("%s rank has %d entries", r.Metric, len(r.Ranked))
+		}
+	}
+	if _, err := WinnersOrdered(nil); err == nil {
+		t.Error("empty: expected error")
+	}
+}
