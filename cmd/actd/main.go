@@ -80,88 +80,111 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		workers    = flag.Int("workers", 0, "scenario fan-out workers per request (0 = GOMAXPROCS)")
-		maxBatch   = flag.Int("max-batch", 0, "max scenarios per request (0 = default 10000)")
-		cacheSize  = flag.Int("cache-size", 0, "footprint cache entries (0 = default 4096, negative disables)")
-		timeout    = flag.Duration("timeout", 30*time.Second, "per-request timeout")
-		grace      = flag.Duration("grace", 15*time.Second, "shutdown drain deadline")
-		maxInFl    = flag.Int("max-inflight", 0, "max concurrently running requests (0 = default 256, negative disables admission control)")
-		maxQueue   = flag.Int("max-queue", 0, "max requests waiting for a slot (0 = default 2x max-inflight)")
-		retries    = flag.Int("retries", 0, "attempts per transient-fault retry loop (0 = default 3, 1 disables retries)")
-		brkThresh  = flag.Int("breaker-threshold", 0, "consecutive 5xx before a handler's breaker opens (0 = default 5, negative disables)")
-		brkOpenFor = flag.Duration("breaker-open", 0, "how long an open breaker rejects before probing (0 = default 5s)")
-		flShards   = flag.Int("fleet-shards", 0, "fleet registry shard count (0 = default 64)")
-		flSnapshot = flag.String("fleet-snapshot", "", "fleet snapshot path (empty = in-memory fleet)")
-		flWAL      = flag.String("fleet-wal", "", "fleet write-ahead log directory (empty = in-memory fleet)")
-		flSegBytes = flag.Int64("fleet-wal-segment-bytes", 0, "rotate WAL segments past this size (0 = default 4 MiB)")
-		flCompact  = flag.Duration("fleet-compact-interval", 5*time.Minute, "background WAL compaction cadence (0 disables)")
-		expURLs    = flag.String("export-url", "", "telemetry collector URLs, comma-separated in failover order (empty = no export)")
-		expEvery   = flag.Duration("export-interval", 10*time.Second, "telemetry push interval")
-		expRate    = flag.Int("export-rate", 0, "telemetry egress budget in bytes/sec (0 = unlimited)")
-		expQueue   = flag.Int("export-queue-depth", 0, "pending telemetry payloads before drop-oldest (0 = default 64)")
-		expWorkers = flag.Int("export-workers", 0, "telemetry delivery workers (0 = default 2)")
-		scSteps    = flag.Int64("script-max-steps", 0, "evaluator steps per /v1/script program (0 = default 5000000, negative disables)")
-		scBytes    = flag.Int64("script-max-bytes", 0, "allocation estimate per /v1/script program in bytes (0 = default 16 MiB, negative disables)")
-		scTimeout  = flag.Duration("script-timeout", 0, "wall-clock budget per /v1/script program (0 = default 5s)")
-		clPeers    = flag.String("cluster-peers", "", "comma-separated base URLs of every cluster member, this one included (empty = single-node)")
-		clSelf     = flag.String("cluster-self", "", "this member's base URL as listed in -cluster-peers")
-		clVnodes   = flag.Int("cluster-vnodes", 0, "consistent-hash virtual nodes per member (0 = default 512)")
-	)
-	flag.Parse()
-
-	cfg := serve.Config{
-		Addr:             *addr,
-		Workers:          *workers,
-		MaxBatch:         *maxBatch,
-		CacheSize:        *cacheSize,
-		RequestTimeout:   *timeout,
-		MaxInFlight:      *maxInFl,
-		MaxQueue:         *maxQueue,
-		RetryAttempts:    *retries,
-		BreakerThreshold: *brkThresh,
-		BreakerOpenFor:   *brkOpenFor,
-		FleetShards:      *flShards,
-		ScriptMaxSteps:   *scSteps,
-		ScriptMaxBytes:   *scBytes,
-		ScriptTimeout:    *scTimeout,
+	opts, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "actd:", err)
+		os.Exit(2)
 	}
-	exp := exportConfig{
-		urls:       splitURLs(*expURLs),
-		interval:   *expEvery,
-		rate:       *expRate,
-		queueDepth: *expQueue,
-		workers:    *expWorkers,
-	}
-	durability := serve.FleetDurability{
-		SnapshotPath:    *flSnapshot,
-		WALDir:          *flWAL,
-		SegmentBytes:    *flSegBytes,
-		CompactInterval: *flCompact,
-	}
-	clusterCfg := serve.ClusterConfig{
-		Self:   *clSelf,
-		Peers:  splitURLs(*clPeers),
-		Vnodes: *clVnodes,
-	}
-	if err := run(cfg, *grace, durability, exp, clusterCfg); err != nil {
+	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, "actd:", err)
 		os.Exit(1)
 	}
 }
 
-// exportConfig carries the -export-* flags into run.
-type exportConfig struct {
-	urls       []string
-	interval   time.Duration
-	rate       int
-	queueDepth int
-	workers    int
+// options is everything actd's command line configures.
+type options struct {
+	serve      serve.Config
+	grace      time.Duration
+	durability serve.FleetDurability
+	export     export.Config
+	cluster    serve.ClusterConfig
 }
 
-// splitURLs parses the comma-separated -export-url list, dropping empty
-// elements so a trailing comma is harmless.
+// parseFlags parses args into fs and refuses values the service cannot
+// run with, naming the flag: a negative -max-batch (it would answer every
+// footprint request 413 while fleet ingest read it as "no limit") and any
+// negative -export-* setting (export.Config.Validate).
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		workers    = fs.Int("workers", 0, "scenario fan-out workers per request (0 or negative = GOMAXPROCS)")
+		maxBatch   = fs.Int("max-batch", 0, "max scenarios per request (0 = default 10000; negative is refused)")
+		cacheSize  = fs.Int("cache-size", 0, "footprint cache entries (0 = default 4096, negative disables)")
+		timeout    = fs.Duration("timeout", 30*time.Second, "per-request timeout (0 = default 30s, negative = no timeout)")
+		grace      = fs.Duration("grace", 15*time.Second, "shutdown drain deadline (0 or negative = give up the drain at once)")
+		maxInFl    = fs.Int("max-inflight", 0, "max concurrently running requests (0 = default 256, negative disables admission control)")
+		maxQueue   = fs.Int("max-queue", 0, "max requests waiting for a slot (0 = default 2x max-inflight, negative = none wait: shed when every slot is busy)")
+		retries    = fs.Int("retries", 0, "attempts per transient-fault retry loop (0 = default 3, 1 or negative disables retries)")
+		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive 5xx before a handler's breaker opens (0 = default 5, negative disables)")
+		brkOpenFor = fs.Duration("breaker-open", 0, "how long an open breaker rejects before probing (0 = default 5s, negative = probe on the next request)")
+		flShards   = fs.Int("fleet-shards", 0, "fleet registry shard count (0 or negative = default 64)")
+		flSnapshot = fs.String("fleet-snapshot", "", "fleet snapshot path (empty = in-memory fleet)")
+		flWAL      = fs.String("fleet-wal", "", "fleet write-ahead log directory (empty = in-memory fleet)")
+		flSegBytes = fs.Int64("fleet-wal-segment-bytes", 0, "rotate WAL segments past this size (0 or negative = default 4 MiB)")
+		flCompact  = fs.Duration("fleet-compact-interval", 5*time.Minute, "background WAL compaction cadence (0 or negative disables)")
+		expURLs    = fs.String("export-url", "", "telemetry collector URLs, comma-separated in failover order (empty = no export)")
+		expEvery   = fs.Duration("export-interval", 10*time.Second, "telemetry push interval (0 = default 10s; negative is refused)")
+		expRate    = fs.Int("export-rate", 0, "telemetry egress budget in bytes/sec (0 = unlimited; negative is refused)")
+		expQueue   = fs.Int("export-queue-depth", 0, "pending telemetry payloads before drop-oldest (0 = default 64; negative is refused)")
+		expWorkers = fs.Int("export-workers", 0, "telemetry delivery workers (0 = default 2; negative is refused)")
+		scSteps    = fs.Int64("script-max-steps", 0, "evaluator steps per /v1/script program (0 = default 5000000, negative disables)")
+		scBytes    = fs.Int64("script-max-bytes", 0, "allocation estimate per /v1/script program in bytes (0 = default 16 MiB, negative disables)")
+		scTimeout  = fs.Duration("script-timeout", 0, "wall-clock budget per /v1/script program (0 = default 5s, negative = only the request timeout applies)")
+		clPeers    = fs.String("cluster-peers", "", "comma-separated base URLs of every cluster member, this one included (empty = single-node)")
+		clSelf     = fs.String("cluster-self", "", "this member's base URL as listed in -cluster-peers")
+		clVnodes   = fs.Int("cluster-vnodes", 0, "consistent-hash virtual nodes per member (0 or negative = default 512)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+	if *maxBatch < 0 {
+		return options{}, fmt.Errorf("-max-batch %d is negative (0 selects the default of 10000)", *maxBatch)
+	}
+	opts := options{
+		serve: serve.Config{
+			Addr:             *addr,
+			Workers:          *workers,
+			MaxBatch:         *maxBatch,
+			CacheSize:        *cacheSize,
+			RequestTimeout:   *timeout,
+			MaxInFlight:      *maxInFl,
+			MaxQueue:         *maxQueue,
+			RetryAttempts:    *retries,
+			BreakerThreshold: *brkThresh,
+			BreakerOpenFor:   *brkOpenFor,
+			FleetShards:      *flShards,
+			ScriptMaxSteps:   *scSteps,
+			ScriptMaxBytes:   *scBytes,
+			ScriptTimeout:    *scTimeout,
+		},
+		grace: *grace,
+		durability: serve.FleetDurability{
+			SnapshotPath:    *flSnapshot,
+			WALDir:          *flWAL,
+			SegmentBytes:    *flSegBytes,
+			CompactInterval: *flCompact,
+		},
+		export: export.Config{
+			URLs:            splitURLs(*expURLs),
+			Interval:        *expEvery,
+			RateBytesPerSec: *expRate,
+			QueueDepth:      *expQueue,
+			Workers:         *expWorkers,
+		},
+		cluster: serve.ClusterConfig{
+			Self:   *clSelf,
+			Peers:  splitURLs(*clPeers),
+			Vnodes: *clVnodes,
+		},
+	}
+	if err := opts.export.Validate(); err != nil {
+		return options{}, fmt.Errorf("-export-* flags: %w", err)
+	}
+	return opts, nil
+}
+
+// splitURLs parses a comma-separated URL list, dropping empty elements so
+// a trailing comma is harmless.
 func splitURLs(s string) []string {
 	var urls []string
 	for _, u := range strings.Split(s, ",") {
@@ -172,42 +195,36 @@ func splitURLs(s string) []string {
 	return urls
 }
 
-func run(cfg serve.Config, grace time.Duration, durability serve.FleetDurability, expCfg exportConfig, clusterCfg serve.ClusterConfig) error {
+func run(opts options) error {
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	cfg.Logger = log
-	srv := serve.New(cfg)
+	opts.serve.Logger = log
+	srv := serve.New(opts.serve)
 
-	if err := srv.OpenFleet(context.Background(), durability); err != nil {
+	if err := srv.OpenFleet(context.Background(), opts.durability); err != nil {
 		return fmt.Errorf("fleet state: %w", err)
 	}
 
-	if len(clusterCfg.Peers) > 0 || clusterCfg.Self != "" {
-		if err := srv.EnableCluster(clusterCfg); err != nil {
+	if len(opts.cluster.Peers) > 0 || opts.cluster.Self != "" {
+		if err := srv.EnableCluster(opts.cluster); err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
 		log.Info("cluster mode enabled",
-			"self", clusterCfg.Self, "members", len(clusterCfg.Peers))
+			"self", opts.cluster.Self, "members", len(opts.cluster.Peers))
 	}
 
 	var exporter *export.Exporter
-	if len(expCfg.urls) > 0 {
+	if expCfg := opts.export; len(expCfg.URLs) > 0 {
+		expCfg.Metrics = export.NewMetrics(srv.MetricsRegistry())
+		expCfg.Logger = log
 		var err error
-		exporter, err = export.New(export.Config{
-			URLs:            expCfg.urls,
-			Interval:        expCfg.interval,
-			RateBytesPerSec: expCfg.rate,
-			QueueDepth:      expCfg.queueDepth,
-			Workers:         expCfg.workers,
-			Metrics:         export.NewMetrics(srv.MetricsRegistry()),
-			Logger:          log,
-		}, srv.Fleet())
+		exporter, err = export.New(expCfg, srv.Fleet())
 		if err != nil {
 			return fmt.Errorf("telemetry exporter: %w", err)
 		}
 		srv.AttachExporter(exporter)
 		exporter.Start()
 		log.Info("telemetry exporter started",
-			"urls", expCfg.urls, "interval", expCfg.interval.String())
+			"urls", expCfg.URLs, "interval", expCfg.Interval.String())
 	}
 
 	errc := make(chan error, 1)
@@ -221,7 +238,7 @@ func run(cfg serve.Config, grace time.Duration, durability serve.FleetDurability
 		return err
 	case sig := <-sigc:
 		log.Info("signal received, draining", "signal", sig.String())
-		ctx, cancel := context.WithTimeout(context.Background(), grace)
+		ctx, cancel := context.WithTimeout(context.Background(), opts.grace)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)

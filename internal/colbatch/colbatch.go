@@ -4,7 +4,9 @@
 // CSR-style per-item offsets), preresolves fab/memdb/storagedb table rows
 // into dense per-batch caches once, evaluates Eqs. 1-8 of the paper with
 // tight loops over the flat columns, and emits each result document with a
-// hand-rolled encoder that replicates encoding/json byte for byte.
+// hand-rolled encoder that replicates encoding/json byte for byte, writing
+// every value directly: design-space traffic evaluates distinct designs,
+// so a memo of formatted values would rarely hit.
 //
 // The scalar path (scenario.Spec.Result + report.Encode) stays untouched
 // as the oracle: any item the columnar decoder cannot prove valid — a
@@ -34,12 +36,13 @@ import (
 // resolution cache warm-up, small enough to keep the pool busy.
 const DefaultChunk = 256
 
-// PreColumnarColdNS is the frozen scalar baseline the columnar engine's
-// >=10x target is measured against: one cold single-scenario footprint
-// (BenchmarkFootprintCold) cost 22975 ns, 8841 B and 54 allocs at the
-// commit before this engine landed (go1.24 linux/amd64, Intel Xeon @
-// 2.10 GHz; recorded in BENCH_6.json as baseline_pre_columnar). The
-// columnar benchmarks report speedup_vs_baseline against it.
+// PreColumnarColdNS is the frozen scalar baseline the columnar
+// benchmarks report speedup_vs_baseline against: one cold single-scenario
+// footprint (BenchmarkFootprintCold) cost 22975 ns, 8841 B and 54 allocs
+// at the commit before this engine landed (go1.24 linux/amd64, Intel Xeon
+// @ 2.10 GHz; recorded in BENCH_6.json as baseline_pre_columnar). The
+// >=10x recorded there came from copies of one scenario while the encoder
+// memoized repeated values; without the memo they report about 6x.
 const PreColumnarColdNS = 22975
 
 // maxPooledItems caps the batch capacity returned to the pool so one
@@ -50,14 +53,6 @@ const maxPooledItems = 8192
 // configs and technology spellings are few in practice; a client streaming
 // unbounded distinct values must not grow the cache without limit.
 const maxResolverEntries = 4096
-
-// maxMemoEntries caps each dictionary-encoding memo (formatted floats,
-// escaped strings). These have to hold the working set of a full sweep —
-// a few thousand distinct specs yield tens of thousands of distinct
-// derived floats — or steady-state batches re-run Ryu formatting from
-// scratch every time. At ~40 bytes an entry the cap bounds each pooled
-// resolver near 3 MB.
-const maxMemoEntries = 1 << 16
 
 // Results is the outcome of one columnar batch evaluation. Doc bytes
 // point into a pooled arena and are valid until Close; callers that

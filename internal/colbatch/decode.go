@@ -54,25 +54,13 @@ type resolver struct {
 	fabs  map[fabKey]fabRes
 	drams map[string]dramRes
 	stors map[string]storRes
-
-	// Dictionary-encoded JSON fragments: formatted floats keyed by bit
-	// pattern and escaped strings keyed by value, as spans into
-	// append-only arenas. Sweep batches repeat most values (table-derived
-	// component footprints, shared usage parameters), and a map hit is
-	// several times cheaper than re-running Ryu shortest-float formatting.
-	floats map[uint64]docSpan
-	farena []byte
-	strs   map[string]docSpan
-	sarena []byte
 }
 
 func newResolver() resolver {
 	return resolver{
-		fabs:   make(map[fabKey]fabRes),
-		drams:  make(map[string]dramRes),
-		stors:  make(map[string]storRes),
-		floats: make(map[uint64]docSpan),
-		strs:   make(map[string]docSpan),
+		fabs:  make(map[fabKey]fabRes),
+		drams: make(map[string]dramRes),
+		stors: make(map[string]storRes),
 	}
 }
 
@@ -85,14 +73,6 @@ func (r *resolver) trim() {
 	}
 	if len(r.stors) > maxResolverEntries {
 		clear(r.stors)
-	}
-	if len(r.floats) > maxMemoEntries {
-		clear(r.floats)
-		r.farena = r.farena[:0]
-	}
-	if len(r.strs) > maxMemoEntries {
-		clear(r.strs)
-		r.sarena = r.sarena[:0]
 	}
 }
 

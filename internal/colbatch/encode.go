@@ -1,136 +1,23 @@
 // Columnar document emission. appendDoc writes one item's ResultJSON
-// document into the batch arena, replicating what
-// json.Encoder{SetIndent("", "  ")}.Encode produces for the same values
-// byte for byte: the same float formatting cutoffs, the same HTML-escaped
-// string encoding, the same two-space indentation, the same trailing
-// newline. Any value the stdlib encoder would reject (NaN, ±Inf) makes
-// appendDoc report false and the item falls back to the scalar oracle,
-// which reproduces the stdlib error.
+// document into the batch arena, replicating what report.Encode produces
+// for the same values byte for byte: every number and string is written
+// directly by report.AppendJSONFloat and report.AppendJSONString, and the
+// layout below reproduces the two-space indentation and trailing newline.
+// Any value the stdlib encoder would reject (NaN, ±Inf) makes appendDoc
+// report false and the item falls back to the scalar oracle, which
+// reproduces the stdlib error.
 
 package colbatch
 
 import (
-	"math"
 	"strconv"
-	"strings"
-	"unicode/utf8"
+
+	"act/internal/report"
 )
-
-// appendJSONFloat appends a float the way encoding/json does: shortest
-// round-trip form, 'f' format except for very small/large magnitudes,
-// with the exponent's leading zero stripped ("e-09" → "e-9"). Reports
-// false for non-finite values, which the stdlib encoder errors on.
-func appendJSONFloat(buf []byte, f float64) ([]byte, bool) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return buf, false
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	buf = strconv.AppendFloat(buf, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(buf); n >= 4 && buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
-			buf[n-2] = buf[n-1]
-			buf = buf[:n-1]
-		}
-	}
-	return buf, true
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends a quoted string the way encoding/json does
-// with HTML escaping on (the Encoder default): ASCII other than control
-// chars, quote, backslash, and <>& passes through; the short escapes
-// cover \b \f \n \r \t; other control chars become \u00XX; invalid UTF-8
-// bytes become U+FFFD; U+2028/U+2029 are escaped for JS embedding.
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch c {
-			case '\\', '"':
-				buf = append(buf, '\\', c)
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', 'f', 'f', 'f', 'd')
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	buf = append(buf, '"')
-	return buf
-}
-
-// memoFloat appends a formatted float, serving repeats from the
-// resolver's dictionary: batch workloads (sweeps, fleets) reuse most
-// values, and a map hit plus memcpy is several times cheaper than Ryu.
-func (b *batch) memoFloat(buf []byte, f float64) ([]byte, bool) {
-	bits := math.Float64bits(f)
-	if sp, ok := b.res.floats[bits]; ok {
-		return append(buf, b.res.farena[sp.start:sp.end]...), true
-	}
-	start := len(b.res.farena)
-	fa, ok := appendJSONFloat(b.res.farena, f)
-	if !ok {
-		return buf, false
-	}
-	b.res.farena = fa
-	b.res.floats[bits] = docSpan{start, len(fa)}
-	return append(buf, fa[start:]...), true
-}
-
-// memoString appends an escaped quoted string through the same
-// dictionary. Keys are cloned so the map never pins a spec's memory.
-func (b *batch) memoString(buf []byte, s string) []byte {
-	if sp, ok := b.res.strs[s]; ok {
-		return append(buf, b.res.sarena[sp.start:sp.end]...)
-	}
-	start := len(b.res.sarena)
-	b.res.sarena = appendJSONString(b.res.sarena, s)
-	b.res.strs[strings.Clone(s)] = docSpan{start, len(b.res.sarena)}
-	return append(buf, b.res.sarena[start:]...)
-}
 
 // appendBreakdownItem emits one breakdown line. nameRaw carries a
 // pre-rendered name (the packaging synthetic) that needs no escaping.
-func (b *batch) appendBreakdownItem(buf []byte, first bool, name string, nameRaw []byte, kind string, g float64) ([]byte, bool) {
+func appendBreakdownItem(buf []byte, first bool, name string, nameRaw []byte, kind string, g float64) ([]byte, bool) {
 	if !first {
 		buf = append(buf, ',')
 	}
@@ -138,13 +25,13 @@ func (b *batch) appendBreakdownItem(buf []byte, first bool, name string, nameRaw
 	if nameRaw != nil {
 		buf = append(buf, nameRaw...)
 	} else {
-		buf = b.memoString(buf, name)
+		buf = report.AppendJSONString(buf, name)
 	}
 	buf = append(buf, ",\n      \"kind\": \""...)
 	buf = append(buf, kind...)
 	buf = append(buf, "\",\n      \"embodied_g\": "...)
 	var ok bool
-	if buf, ok = b.memoFloat(buf, g); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, g); !ok {
 		return buf, false
 	}
 	buf = append(buf, "\n    }"...)
@@ -152,7 +39,7 @@ func (b *batch) appendBreakdownItem(buf []byte, first bool, name string, nameRaw
 }
 
 // appendPhase emits one life-cycle phase line.
-func (b *batch) appendPhase(buf []byte, first bool, phase string, g, share float64) ([]byte, bool) {
+func appendPhase(buf []byte, first bool, phase string, g, share float64) ([]byte, bool) {
 	if !first {
 		buf = append(buf, ',')
 	}
@@ -160,11 +47,11 @@ func (b *batch) appendPhase(buf []byte, first bool, phase string, g, share float
 	buf = append(buf, phase...)
 	buf = append(buf, "\",\n        \"emissions_g\": "...)
 	var ok bool
-	if buf, ok = b.memoFloat(buf, g); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, g); !ok {
 		return buf, false
 	}
 	buf = append(buf, ",\n        \"share\": "...)
-	if buf, ok = b.memoFloat(buf, share); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, share); !ok {
 		return buf, false
 	}
 	buf = append(buf, "\n      }"...)
@@ -184,42 +71,42 @@ func (b *batch) appendDocTo(buf []byte, i int) ([]byte, bool) {
 	var ok bool
 
 	buf = append(buf, "{\n  \"device\": "...)
-	buf = b.memoString(buf, b.name[i])
+	buf = report.AppendJSONString(buf, b.name[i])
 	buf = append(buf, ",\n  \"app_hours\": "...)
-	if buf, ok = b.memoFloat(buf, b.appTime[i].Hours()); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, b.appTime[i].Hours()); !ok {
 		return buf, false
 	}
 	buf = append(buf, ",\n  \"lifetime_years\": "...)
-	if buf, ok = b.memoFloat(buf, b.lifetime[i].Hours()/(365.25*24)); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, b.lifetime[i].Hours()/(365.25*24)); !ok {
 		return buf, false
 	}
 	buf = append(buf, ",\n  \"operational_g\": "...)
-	if buf, ok = b.memoFloat(buf, b.opG[i]); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, b.opG[i]); !ok {
 		return buf, false
 	}
 	buf = append(buf, ",\n  \"embodied_total_g\": "...)
-	if buf, ok = b.memoFloat(buf, b.embG[i]); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, b.embG[i]); !ok {
 		return buf, false
 	}
 	buf = append(buf, ",\n  \"embodied_share_g\": "...)
-	if buf, ok = b.memoFloat(buf, b.shareG[i]); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, b.shareG[i]); !ok {
 		return buf, false
 	}
 	buf = append(buf, ",\n  \"total_g\": "...)
-	if buf, ok = b.memoFloat(buf, b.opG[i]+b.shareG[i]); !ok {
+	if buf, ok = report.AppendJSONFloat(buf, b.opG[i]+b.shareG[i]); !ok {
 		return buf, false
 	}
 
 	buf = append(buf, ",\n  \"breakdown\": ["...)
 	first := true
 	for j := b.logicOff[i]; j < b.logicOff[i+1]; j++ {
-		if buf, ok = b.appendBreakdownItem(buf, first, b.logicName[j], nil, "logic", b.logicEmb[j]); !ok {
+		if buf, ok = appendBreakdownItem(buf, first, b.logicName[j], nil, "logic", b.logicEmb[j]); !ok {
 			return buf, false
 		}
 		first = false
 	}
 	for j := b.dramOff[i]; j < b.dramOff[i+1]; j++ {
-		if buf, ok = b.appendBreakdownItem(buf, first, b.dramName[j], nil, "dram", b.dramEmb[j]); !ok {
+		if buf, ok = appendBreakdownItem(buf, first, b.dramName[j], nil, "dram", b.dramEmb[j]); !ok {
 			return buf, false
 		}
 		first = false
@@ -229,7 +116,7 @@ func (b *batch) appendDocTo(buf []byte, i int) ([]byte, bool) {
 		if b.storHDD[j] {
 			kind = "hdd"
 		}
-		if buf, ok = b.appendBreakdownItem(buf, first, b.storName[j], nil, kind, b.storEmb[j]); !ok {
+		if buf, ok = appendBreakdownItem(buf, first, b.storName[j], nil, kind, b.storEmb[j]); !ok {
 			return buf, false
 		}
 		first = false
@@ -239,7 +126,7 @@ func (b *batch) appendDocTo(buf []byte, i int) ([]byte, bool) {
 		b.scratch = append(b.scratch[:0], "\"packaging ("...)
 		b.scratch = strconv.AppendInt(b.scratch, b.icN[i], 10)
 		b.scratch = append(b.scratch, " ICs)\""...)
-		if buf, ok = b.appendBreakdownItem(buf, first, "", b.scratch, "packaging", b.packG[i]); !ok {
+		if buf, ok = appendBreakdownItem(buf, first, "", b.scratch, "packaging", b.packG[i]); !ok {
 			return buf, false
 		}
 		first = false
@@ -262,20 +149,20 @@ func (b *batch) appendDocTo(buf []byte, i int) ([]byte, bool) {
 			return g / lcTotal
 		}
 		buf = append(buf, ",\n  \"life_cycle\": {\n    \"phases\": ["...)
-		if buf, ok = b.appendPhase(buf, true, "manufacturing", b.embG[i], share(b.embG[i])); !ok {
+		if buf, ok = appendPhase(buf, true, "manufacturing", b.embG[i], share(b.embG[i])); !ok {
 			return buf, false
 		}
-		if buf, ok = b.appendPhase(buf, false, "transport", b.trG[i], share(b.trG[i])); !ok {
+		if buf, ok = appendPhase(buf, false, "transport", b.trG[i], share(b.trG[i])); !ok {
 			return buf, false
 		}
-		if buf, ok = b.appendPhase(buf, false, "use", b.opG[i], share(b.opG[i])); !ok {
+		if buf, ok = appendPhase(buf, false, "use", b.opG[i], share(b.opG[i])); !ok {
 			return buf, false
 		}
-		if buf, ok = b.appendPhase(buf, false, "end-of-life", b.eolG[i], share(b.eolG[i])); !ok {
+		if buf, ok = appendPhase(buf, false, "end-of-life", b.eolG[i], share(b.eolG[i])); !ok {
 			return buf, false
 		}
 		buf = append(buf, "\n    ],\n    \"total_g\": "...)
-		if buf, ok = b.memoFloat(buf, lcTotal); !ok {
+		if buf, ok = report.AppendJSONFloat(buf, lcTotal); !ok {
 			return buf, false
 		}
 		buf = append(buf, "\n  }"...)

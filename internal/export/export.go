@@ -27,7 +27,8 @@ import (
 	"act/internal/resilience"
 )
 
-// Config tunes an Exporter. Zero fields take the documented defaults.
+// Config tunes an Exporter. Zero fields take the documented defaults;
+// negative ones are rejected by Validate.
 type Config struct {
 	// URLs are the delivery targets in priority order (required). The
 	// first healthy endpoint gets every payload; later ones are failover.
@@ -57,6 +58,30 @@ type Config struct {
 	Logger *slog.Logger
 	// Now is the clock, overridable in tests (default time.Now).
 	Now func() time.Time
+}
+
+// Validate reports the first negative setting, naming it and its value;
+// New refuses one (a negative Interval would spin the scheduler, negative
+// Workers would start no delivery worker). Zero selects the default.
+func (c Config) Validate() error {
+	for _, s := range []struct {
+		name     string
+		negative bool
+		value    any
+	}{
+		{"Interval", c.Interval < 0, c.Interval},
+		{"QueueDepth", c.QueueDepth < 0, c.QueueDepth},
+		{"Workers", c.Workers < 0, c.Workers},
+		{"RateBytesPerSec", c.RateBytesPerSec < 0, c.RateBytesPerSec},
+		{"SendTimeout", c.SendTimeout < 0, c.SendTimeout},
+		{"BreakerThreshold", c.BreakerThreshold < 0, c.BreakerThreshold},
+		{"BreakerOpenFor", c.BreakerOpenFor < 0, c.BreakerOpenFor},
+	} {
+		if s.negative {
+			return fmt.Errorf("export: %s %v is negative", s.name, s.value)
+		}
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -109,6 +134,9 @@ type Exporter struct {
 
 // New builds an Exporter over the fleet registry reg.
 func New(cfg Config, reg *fleet.Registry) (*Exporter, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	if len(cfg.URLs) == 0 {
 		return nil, fmt.Errorf("export: no endpoint URLs configured")

@@ -347,6 +347,45 @@ func TestTokenBucketPacing(t *testing.T) {
 
 // TestSetInterval re-anchors the deadline: after tightening the interval
 // the next tick lands one new interval out, stamped with that deadline.
+// TestNewValidatesSettings tries every numeric Config setting at zero (the
+// default), at -1 and at its documented default value: New accepts the
+// first and last, and refuses -1 with an error naming the setting and the
+// value. New only builds the pipeline; nothing is started.
+func TestNewValidatesSettings(t *testing.T) {
+	reg := fleet.New(fleet.Config{Shards: 1})
+	settings := []struct {
+		name string
+		set  func(*Config, int64)
+		def  int64
+	}{
+		{"Interval", func(c *Config, v int64) { c.Interval = time.Duration(v) }, int64(10 * time.Second)},
+		{"QueueDepth", func(c *Config, v int64) { c.QueueDepth = int(v) }, 64},
+		{"Workers", func(c *Config, v int64) { c.Workers = int(v) }, 2},
+		{"RateBytesPerSec", func(c *Config, v int64) { c.RateBytesPerSec = int(v) }, 0},
+		{"SendTimeout", func(c *Config, v int64) { c.SendTimeout = time.Duration(v) }, int64(10 * time.Second)},
+		{"BreakerThreshold", func(c *Config, v int64) { c.BreakerThreshold = int(v) }, 3},
+		{"BreakerOpenFor", func(c *Config, v int64) { c.BreakerOpenFor = time.Duration(v) }, int64(15 * time.Second)},
+	}
+	for _, s := range settings {
+		for _, v := range []int64{0, -1, s.def} {
+			cfg := Config{URLs: []string{"http://collector.invalid"}}
+			s.set(&cfg, v)
+			_, err := New(cfg, reg)
+			if v >= 0 {
+				if err != nil {
+					t.Errorf("%s=%d: New rejected a valid setting: %v", s.name, v, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Errorf("%s=%d: New accepted a negative setting", s.name, v)
+			} else if msg := err.Error(); !strings.Contains(msg, s.name) || !strings.Contains(msg, "-1") {
+				t.Errorf("%s=%d: error %q does not name the setting and its value", s.name, v, msg)
+			}
+		}
+	}
+}
+
 func TestSetInterval(t *testing.T) {
 	start := testEpoch
 	d := newDeadline(time.Hour, start)

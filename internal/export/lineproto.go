@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"act/internal/prom"
 )
 
 // bufPool recycles payload buffers between emission ticks. Buffers that
@@ -56,16 +58,10 @@ func appendSample(b *bytes.Buffer, name string, labels []label, v float64, ts ti
 		b.WriteByte('}')
 	}
 	b.WriteByte(' ')
-	b.WriteString(formatValue(v))
+	b.WriteString(prom.FormatFloat(v))
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatInt(ts.UnixMilli(), 10))
 	b.WriteByte('\n')
-}
-
-// formatValue renders a sample value: shortest round-trippable decimal, the
-// same convention the hand-rolled /metrics exposition uses.
-func formatValue(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // escapeLabelValue escapes a label value per the exposition format:

@@ -12,7 +12,6 @@ package prom
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,14 +57,11 @@ func header(b *strings.Builder, name, help, kind string) {
 	fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
 }
 
-// formatFloat renders a sample value the way Prometheus expects.
-func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
+// FormatFloat renders a sample value the way the exposition format
+// expects: the shortest round-trippable decimal, with ±Inf as "+Inf" and
+// "-Inf" and NaN as "NaN" (strconv's spellings already). Both /metrics and
+// the telemetry exporter's line protocol write values with it.
+func FormatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
@@ -348,10 +344,10 @@ func (h *Histogram) render(b *strings.Builder) {
 	cum := uint64(0)
 	for i, ub := range h.bounds {
 		cum += h.counts[i]
-		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", h.name, formatFloat(ub), cum)
+		fmt.Fprintf(b, "%s_bucket{le=%q} %d\n", h.name, FormatFloat(ub), cum)
 	}
 	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", h.name, h.count)
-	fmt.Fprintf(b, "%s_sum %s\n", h.name, formatFloat(h.sum))
+	fmt.Fprintf(b, "%s_sum %s\n", h.name, FormatFloat(h.sum))
 	fmt.Fprintf(b, "%s_count %d\n", h.name, h.count)
 	h.mu.Unlock()
 }

@@ -1,6 +1,7 @@
 package prom
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -147,5 +148,20 @@ func TestGaugeFuncRendersLiveValue(t *testing.T) {
 	depth = 9
 	if g.Value() != 9 {
 		t.Errorf("Value() = %d, want the callback's current 9", g.Value())
+	}
+}
+
+// TestFormatFloat pins the exposition spellings of the special values,
+// which come straight from strconv.
+func TestFormatFloat(t *testing.T) {
+	for v, want := range map[float64]string{
+		math.Inf(1): "+Inf", math.Inf(-1): "-Inf", 0.25: "0.25", 1e21: "1e+21", -3: "-3",
+	} {
+		if got := FormatFloat(v); got != want {
+			t.Errorf("FormatFloat(%v) = %q, want %q", v, got, want)
+		}
+	}
+	if got := FormatFloat(math.NaN()); got != "NaN" {
+		t.Errorf("FormatFloat(NaN) = %q, want NaN", got)
 	}
 }

@@ -7,11 +7,6 @@
 
 package report
 
-import (
-	"encoding/json"
-	"io"
-)
-
 // FleetGroupJSON is one group-by row (a region or a process node).
 type FleetGroupJSON struct {
 	Key            string  `json:"key"`
@@ -48,15 +43,4 @@ type FleetSummaryJSON struct {
 	GroupBy string            `json:"group_by,omitempty"`
 	Groups  []FleetGroupJSON  `json:"groups,omitempty"`
 	Top     []FleetDeviceJSON `json:"top,omitempty"`
-}
-
-// Encode writes v as the canonical result document: two-space indented
-// JSON with a trailing newline — the exact encoder behind cmd/act -format
-// json, actd's /v1/footprint cache values, and the fleet documents. Every
-// producer funnels through here so byte-identity across surfaces holds by
-// construction.
-func Encode(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }

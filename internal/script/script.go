@@ -45,12 +45,14 @@ import (
 	"time"
 
 	"act/internal/faultinject"
+	"act/internal/report"
 )
 
 // Budget is the hard resource envelope one evaluation runs under. Zero
 // fields take the Default values; a negative MaxSteps/MaxAllocBytes/
-// MaxDepth or Timeout disables that single limit (for trusted in-process
-// callers — the service never does).
+// MaxDepth or Timeout disables that single limit. actd passes negative
+// -script-max-steps, -script-max-bytes and -script-timeout values straight
+// through, so its operator can disable those limits for every request.
 type Budget struct {
 	// MaxSteps caps evaluator steps: one per AST node evaluated, plus
 	// surcharges for host calls and bulk builtins (default 5,000,000).
@@ -145,7 +147,7 @@ func (r *Result) Encode(w io.Writer) error {
 				buf = append(buf, ',')
 			}
 			buf = append(buf, "\n    {\n      \"name\": "...)
-			buf = appendStringJSON(buf, e.Name)
+			buf = report.AppendJSONString(buf, e.Name)
 			buf = append(buf, ",\n      \"value\": "...)
 			if buf, err = appendValueJSON(buf, e.Value, 3); err != nil {
 				return err

@@ -66,6 +66,8 @@ type Config struct {
 	// Workers bounds the per-request scenario fan-out (default GOMAXPROCS).
 	Workers int
 	// MaxBatch caps scenarios per request (default 10000; exceeded → 413).
+	// A negative value answers every footprint request 413 while fleet
+	// ingest reads it as "no limit"; actd refuses one at startup.
 	MaxBatch int
 	// CacheSize is the footprint LRU capacity in entries (default 4096;
 	// negative disables residency).
