@@ -87,8 +87,10 @@ cover:
 # per-shard selection held to a sort-everything oracle for a random k),
 # the script interpreter's parse/eval pair (the eval fuzzer runs
 # whole adversarial programs under tight budgets and must terminate
-# without panics or hangs), and the JSON scalar appenders every result
-# document and script envelope is written with, held to encoding/json.
+# without panics or hangs), the script lexer held to its pre-tuning
+# oracle (tokens, positions and error texts), and the JSON scalar
+# appenders every result document and script envelope is written with,
+# held to encoding/json.
 verify-chaos:
 	$(GO) vet -tags faultinject ./...
 	$(GO) test -race -tags faultinject ./...
@@ -101,6 +103,7 @@ verify-chaos:
 	$(GO) test -run FuzzParseDevice -fuzz FuzzParseDevice -fuzztime 10s ./internal/fleet/
 	$(GO) test -run FuzzFleetTopK -fuzz FuzzFleetTopK -fuzztime 10s ./internal/fleet/
 	$(GO) test -run FuzzScriptParse -fuzz FuzzScriptParse -fuzztime 10s ./internal/script/
+	$(GO) test -run FuzzLexDifferential -fuzz FuzzLexDifferential -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzJSONScalars -fuzz FuzzJSONScalars -fuzztime 10s ./internal/report/
 
@@ -161,9 +164,11 @@ bench-export:
 
 # Scripting sandbox overhead: the 1000-scenario sweep priced through a
 # script program, reporting script_overhead_x against the direct colbatch
-# path. Recorded as BENCH_9.json.
+# path, and the program perfbench's design workload sends (200 corpus
+# scenarios as literals, one footprint() call, a fold) without HTTP.
+# Recorded as BENCH_9.json and BENCH_22.json.
 bench-script:
-	$(BENCHSH) -bench 'Sweep1k$$' ./internal/script/
+	$(BENCHSH) -bench 'Sweep1k$$|Corpus200$$' ./internal/script/
 
 # Cluster acceptance: the 1M-device scatter-gather summary on a 3-member
 # in-process cluster versus the same fleet on one node (setup takes about

@@ -6,7 +6,9 @@
 // tight loops over the flat columns, and emits each result document with a
 // hand-rolled encoder that replicates encoding/json byte for byte, writing
 // every value directly: design-space traffic evaluates distinct designs,
-// so a memo of formatted values would rarely hit.
+// so a memo of formatted values would rarely hit. Results.Walk hands the
+// same values to a Sink field by field, for callers that want values
+// rather than bytes.
 //
 // The scalar path (scenario.Spec.Result + report.Encode) stays untouched
 // as the oracle: any item the columnar decoder cannot prove valid — a

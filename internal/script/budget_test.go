@@ -1,6 +1,7 @@
 package script
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"act/internal/acterr"
+	"act/internal/colbatch"
 	"act/internal/scenario"
 )
 
@@ -246,5 +248,132 @@ func TestBudgetErrorsAreTyped(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "steps") {
 		t.Fatalf("error text %q does not name the resource", err)
+	}
+}
+
+// hostCharge declares what one host builtin bills on top of the
+// interpreter's per-node steps, for a representative call: the step
+// surcharge and the byte charge, given the call's arguments and result.
+type hostCharge struct {
+	call  string // the arguments, as a script list literal
+	steps func(args []Value, out Value) int64
+	bytes func(t *testing.T, args []Value, out Value) int64
+}
+
+const (
+	chargeSpec = `{"name": "soc", "logic": [{"name": "l", "area_mm2": 10, "node": "7nm"}], "dram": [{"name": "m", "technology": "lpddr4", "capacity_gb": 4}], "usage": {"power_w": 1, "app_hours": 100}, "transport": [{"name": "ship", "mode": "sea", "mass_kg": 1, "distance_km": 100}]}`
+	// The scalar oracle answers this one (a die count past int32), so
+	// its result takes the document-parsing path.
+	chargeOracleSpec = `{"name": "big", "logic": [{"name": "l", "area_mm2": 10, "node": "7nm", "count": 2147483648}], "usage": {"power_w": 1, "app_hours": 1}}`
+	chargePoints     = `[{"a": 1, "b": 3}, {"a": 2, "b": 2}, {"a": 3, "b": 3}]`
+	chargeCands      = `[{"name": "x", "embodied_g": 100, "energy_j": 10, "delay_s": 2}, {"name": "y", "embodied_g": 50, "energy_j": 20, "delay_s": 1}]`
+)
+
+// hostCharges is the budget table of the host builtins, checked against
+// the registered set in both directions by TestHostBuiltinCharges.
+var hostCharges = map[string]hostCharge{
+	"footprint": {
+		call:  `[` + chargeSpec + `]`,
+		steps: func([]Value, Value) int64 { return stepsPerFootprint },
+		bytes: func(t *testing.T, args []Value, _ Value) int64 { return 2 * int64(len(measuredDoc(t, args[0]))) },
+	},
+	"footprint (list)": {
+		call:  `[[` + chargeSpec + `, ` + chargeOracleSpec + `]]`,
+		steps: func(args []Value, _ Value) int64 { return stepsPerFootprint * int64(len(args[0].(*List).Elems)) },
+		bytes: func(t *testing.T, args []Value, _ Value) int64 {
+			specs := args[0].(*List).Elems
+			n := 24 + 16*int64(len(specs))
+			for _, s := range specs {
+				n += 2 * int64(len(measuredDoc(t, s)))
+			}
+			return n
+		},
+	},
+	"footprint_doc": {
+		call:  `[` + chargeSpec + `]`,
+		steps: func([]Value, Value) int64 { return stepsPerFootprint },
+		bytes: func(t *testing.T, args []Value, _ Value) int64 { return 16 + int64(len(measuredDoc(t, args[0]))) },
+	},
+	"pareto": {
+		call: `[` + chargePoints + `, ["a", "b"]]`,
+		steps: func(args []Value, _ Value) int64 {
+			n, f := int64(len(args[0].(*List).Elems)), int64(len(args[1].(*List).Elems))
+			return n * n * f / 4
+		},
+		bytes: func(_ *testing.T, _ []Value, out Value) int64 { return 24 + 16*int64(len(out.(*List).Elems)) },
+	},
+	"rank": {
+		call:  `["cdp", ` + chargeCands + `]`,
+		steps: func(args []Value, _ Value) int64 { return stepsPerCandidate * int64(len(args[1].(*List).Elems)) },
+		bytes: func(_ *testing.T, _ []Value, out Value) int64 { return 24 + 96*int64(len(out.(*List).Elems)) },
+	},
+	"emit": {
+		call:  `["x", {"k": [1, "two", nil]}]`,
+		steps: func([]Value, Value) int64 { return 0 },
+		bytes: func(t *testing.T, args []Value, _ Value) int64 {
+			n, err := sizeOf(args[1], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		},
+	},
+}
+
+// measuredDoc is the result document colbatch renders for a scenario map,
+// measured without the host builtins.
+func measuredDoc(t *testing.T, spec Value) []byte {
+	t.Helper()
+	data, err := appendValueCompact(nil, spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := colbatch.Eval([]*scenario.Spec{s})
+	defer r.Close()
+	if err := r.Err(0); err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Clone(r.Doc(0))
+}
+
+// TestHostBuiltinCharges holds every host builtin to its row of
+// hostCharges: calling it directly on a fresh interpreter bills exactly
+// the declared steps and bytes. A registered builtin without a row, or a
+// row naming no registered builtin, fails.
+func TestHostBuiltinCharges(t *testing.T) {
+	scope := newEnv(nil)
+	registerHost(scope)
+	for name := range scope.vars {
+		if _, ok := hostCharges[name]; !ok {
+			t.Errorf("host builtin %s has no budget declaration", name)
+		}
+	}
+	for row, c := range hostCharges {
+		name, _, _ := strings.Cut(row, " ")
+		b, ok := scope.vars[name].(*Builtin)
+		if !ok {
+			t.Errorf("budget declared for %s, which is not a host builtin", row)
+			continue
+		}
+		res, err := Eval(context.Background(), c.call, Options{})
+		if err != nil {
+			t.Fatalf("%s: arguments %s: %v", row, c.call, err)
+		}
+		args := res.Value.(*List).Elems
+		in := &interp{ctx: context.Background(), outerCtx: context.Background(), untilCtx: ctxCheckInterval}
+		out, err := b.fn(in, Pos{}, args)
+		if err != nil {
+			t.Fatalf("%s: %v", row, err)
+		}
+		if want := c.steps(args, out); in.steps != want {
+			t.Errorf("%s billed %d steps, declared %d", row, in.steps, want)
+		}
+		if want := c.bytes(t, args, out); in.alloc != want {
+			t.Errorf("%s charged %d bytes, declared %d", row, in.alloc, want)
+		}
 	}
 }

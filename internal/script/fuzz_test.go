@@ -3,6 +3,7 @@ package script
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -66,6 +67,38 @@ func FuzzScriptParse(f *testing.F) {
 			}
 			if prog != nil {
 				t.Fatalf("Parse(%q) returned both a program and an error", src)
+			}
+		}
+	})
+}
+
+// FuzzLexDifferential holds lex to oracleLex, the lexer before it was
+// tuned: the same tokens (kind, text, position, number bits, decoded
+// string) or the same error text, on every input.
+func FuzzLexDifferential(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	for _, s := range adversarialCorpus {
+		f.Add(s)
+	}
+	f.Add(`{"a": "plain", "b": "esc\u00e9\n\ud83d\ude00"}`)
+	f.Add("{\"c\": \"caf\xc3\xa9 \xe2\x80\xa8\", \"d\": \"x\xffy\", \"e\": \"tab\there\"}")
+	f.Add("a && b || c & d | e <= >= == != < > = !")
+	f.Fuzz(func(t *testing.T, src string) {
+		got, gerr := lex(src)
+		want, werr := oracleLex(src)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("lex(%q) error = %v, oracle %v", src, gerr, werr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("lex(%q) made %d tokens, oracle %d", src, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.kind != w.kind || g.text != w.text || g.pos != w.pos ||
+				math.Float64bits(g.num) != math.Float64bits(w.num) || g.str != w.str {
+				t.Fatalf("lex(%q) token %d = %+v, oracle %+v", src, i, g, w)
 			}
 		}
 	})

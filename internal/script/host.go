@@ -59,13 +59,66 @@ func specFromValue(pos Pos, v Value) (*scenario.Spec, error) {
 	return spec, nil
 }
 
-// decodeDoc parses a canonical result document into script values,
-// preserving the document's key order so script output stays as
-// deterministic as the document itself.
-func decodeDoc(in *interp, doc []byte) (Value, error) {
+// resultValue builds item i of res as a script value, charging twice the
+// document's length whichever way it is built. An item the columnar
+// engine evaluated is built from its columns by Results.Walk, in document
+// order and with the very floats the document encodes; an item the
+// scalar oracle answered exists only as its document, which decodeDoc
+// parses.
+func resultValue(in *interp, res *colbatch.Results, i int, d *docBuilder) (Value, error) {
+	doc := res.Doc(i)
 	if err := in.charge(int64(len(doc)) * 2); err != nil {
 		return nil, err
 	}
+	d.root = nil
+	if res.Walk(i, d) {
+		return d.root, nil
+	}
+	return decodeDoc(doc)
+}
+
+// docBuilder is the colbatch.Sink that assembles a result document as
+// ordered maps and lists. Result strings are valid UTF-8 (every spec
+// reaches colbatch through the JSON decoder), so they are the strings a
+// parse of the document would give.
+type docBuilder struct {
+	root  Value
+	stack []Value // the open maps and lists, innermost last
+}
+
+func (d *docBuilder) put(key string, v Value) {
+	if len(d.stack) == 0 {
+		d.root = v
+		return
+	}
+	switch c := d.stack[len(d.stack)-1].(type) {
+	case *Map:
+		c.Set(key, v)
+	case *List:
+		c.Elems = append(c.Elems, v)
+	}
+}
+
+func (d *docBuilder) Object(key string, n int) {
+	m := &Map{keys: make([]string, 0, n), vals: make(map[string]Value, n)}
+	d.put(key, m)
+	d.stack = append(d.stack, m)
+}
+
+func (d *docBuilder) Array(key string, n int) {
+	l := &List{Elems: make([]Value, 0, n)}
+	d.put(key, l)
+	d.stack = append(d.stack, l)
+}
+
+func (d *docBuilder) End()                        { d.stack = d.stack[:len(d.stack)-1] }
+func (d *docBuilder) String(key, s string)        { d.put(key, s) }
+func (d *docBuilder) Float(key string, f float64) { d.put(key, f) }
+
+// decodeDoc parses a canonical result document into script values,
+// preserving the document's key order so script output stays as
+// deterministic as the document itself.
+func decodeDoc(doc []byte) (Value, error) {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.UseNumber()
 	v, err := decodeOrdered(dec, 0)
@@ -177,11 +230,12 @@ func hostFootprint(in *interp, pos Pos, args []Value) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc, err := evalSpecDoc(spec)
-	if err != nil {
+	res := colbatch.Eval([]*scenario.Spec{spec})
+	defer res.Close()
+	if err := res.Err(0); err != nil {
 		return nil, hostEvalError(pos, err)
 	}
-	return decodeDoc(in, doc)
+	return resultValue(in, res, 0, &docBuilder{})
 }
 
 func footprintBatch(in *interp, pos Pos, l *List) (Value, error) {
@@ -214,6 +268,7 @@ func footprintBatch(in *interp, pos Pos, l *List) (Value, error) {
 	if err := in.charge(24 + 16*int64(len(specs))); err != nil {
 		return nil, err
 	}
+	d := &docBuilder{}
 	for lo := 0; lo < len(specs); lo += hostChunk {
 		// The poll between chunks is what lets a deadline cancel a
 		// large sweep mid-host-call rather than after it.
@@ -230,7 +285,7 @@ func footprintBatch(in *interp, pos Pos, l *List) (Value, error) {
 				res.Close()
 				return nil, hostEvalError(pos, fmt.Errorf("scenario [%d]: %w", lo+i, err))
 			}
-			v, err := decodeDoc(in, res.Doc(i))
+			v, err := resultValue(in, res, i, d)
 			if err != nil {
 				res.Close()
 				return nil, err

@@ -113,6 +113,11 @@ batch == singles`
 	}
 }
 
+const (
+	badNodeSpec = `{"name": "bad-node", "logic": [{"name": "l", "area_mm2": 10, "node": "9999nm"}], "usage": {"power_w": 1, "app_hours": 1}}`
+	badNodeErr  = `scenario: logic "l": invalid spec field logic[0]: fab: unknown process node: feature size 9999 nm outside characterized range [3, 28] nm`
+)
+
 func TestFootprintInvalidScenario(t *testing.T) {
 	cases := []struct {
 		src  string
@@ -124,6 +129,11 @@ func TestFootprintInvalidScenario(t *testing.T) {
 		{`footprint({"version": 99, "name": "x"})`, "version"},
 		{`footprint_doc({"nope": true})`, "invalid scenario"},
 		{`footprint()`, "takes 1 argument"},
+		// An evaluation failure keeps its full text, alone and as a list
+		// item, whichever way valid results are built.
+		{`footprint(` + badNodeSpec + `)`, "script:1:10: " + badNodeErr},
+		{`footprint([{"name": "ok", "logic": [{"name": "l", "area_mm2": 10, "node": "7nm"}], "usage": {"power_w": 1, "app_hours": 1}}, ` + badNodeSpec + `])`,
+			"script:1:10: scenario [1]: " + badNodeErr},
 	}
 	for _, c := range cases {
 		_, err := Eval(context.Background(), c.src, Options{})

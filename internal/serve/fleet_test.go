@@ -127,6 +127,25 @@ func TestFleetAPILifecycle(t *testing.T) {
 	}
 }
 
+// TestNegativeMaxBatchTakesDefault: a negative Config.MaxBatch is the
+// default limit on both routes it caps, not a 413 for any footprint
+// request beside an unlimited fleet ingest.
+func TestNegativeMaxBatchTakesDefault(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxBatch: -1, MaxBodyBytes: 1 << 20})
+	if s.cfg.MaxBatch != 10000 {
+		t.Fatalf("MaxBatch = %d, want the default 10000", s.cfg.MaxBatch)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/footprint", mustJSON(t, testSpec(1)))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("footprint: status %d, want 200; body %s", resp.StatusCode, body)
+	}
+	resp = ingestFleet(t, ts.URL, fleetLine(t, "a", 10, "europe")+"\n"+fleetLine(t, "b", 11, "europe"))
+	body, _ = io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d, want 200; body %s", resp.StatusCode, body)
+	}
+}
+
 func TestFleetAPIErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxBatch: 2, MaxBodyBytes: 1 << 20})
 

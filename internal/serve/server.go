@@ -65,9 +65,9 @@ type Config struct {
 	Addr string
 	// Workers bounds the per-request scenario fan-out (default GOMAXPROCS).
 	Workers int
-	// MaxBatch caps scenarios per request (default 10000; exceeded → 413).
-	// A negative value answers every footprint request 413 while fleet
-	// ingest reads it as "no limit"; actd refuses one at startup.
+	// MaxBatch caps scenarios per footprint request and devices per fleet
+	// ingest (default 10000, also taken for a negative value; exceeded →
+	// 413). actd refuses a negative -max-batch at startup.
 	MaxBatch int
 	// CacheSize is the footprint LRU capacity in entries (default 4096;
 	// negative disables residency).
@@ -116,7 +116,7 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8080"
 	}
-	if c.MaxBatch == 0 {
+	if c.MaxBatch <= 0 {
 		c.MaxBatch = 10000
 	}
 	if c.CacheSize == 0 {
