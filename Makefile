@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-export bench-script bench-cluster run-actd clean
+.PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-export bench-script bench-cluster loc run-actd clean
 
 all: build
 
@@ -176,6 +176,13 @@ bench-script:
 # when cluster_vs_single exceeds 10. Recorded as BENCH_10.json.
 bench-cluster:
 	$(BENCHSH) -bench '1M$$' -benchtime 1000x -timeout 900s ./internal/cluster/
+
+# Non-test Go lines per package directory, each with its change against
+# BASE, then the net non-test delta every change states, e.g.
+# `make loc BASE=main`. Untracked new files count; ignored ones do not.
+BASE ?= HEAD
+loc:
+	@./scripts/loc.sh "$(BASE)"
 
 run-actd:
 	$(GO) run ./cmd/actd -addr :8080

@@ -324,7 +324,7 @@ var hostCharges = map[string]hostCharge{
 // measured without the host builtins.
 func measuredDoc(t *testing.T, spec Value) []byte {
 	t.Helper()
-	data, err := appendValueCompact(nil, spec, 0)
+	data, err := appendValueJSON(nil, spec, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

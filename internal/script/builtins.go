@@ -322,7 +322,7 @@ var builtinTable = []*Builtin{
 		if s, ok := args[0].(string); ok {
 			return s, nil
 		}
-		buf, err := appendValueCompact(nil, args[0], 0)
+		buf, err := appendValueJSON(nil, args[0], -1)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package script
 import (
 	"context"
 	"math"
+	"slices"
 
 	"act/internal/acterr"
 )
@@ -43,9 +44,9 @@ type ctrlReturn struct{ val Value }
 type ctrlBreak struct{}
 type ctrlContinue struct{}
 
-func (ctrlReturn) Error() string   { return "return outside function" }
-func (ctrlBreak) Error() string    { return "break outside loop" }
-func (ctrlContinue) Error() string { return "continue outside loop" }
+func (ctrlReturn) Error() string   { return "return outside a function" }
+func (ctrlBreak) Error() string    { return "break outside a loop" }
+func (ctrlContinue) Error() string { return "continue outside a loop" }
 
 // ctxCheckInterval is how many budget steps pass between context polls.
 // Small enough that a deadline cuts a tight loop off promptly, large
@@ -125,32 +126,37 @@ func (in *interp) run(prog []stmt) (Value, error) {
 	in.globals = newEnv(nil)
 	registerBuiltins(in.globals)
 	registerHost(in.globals)
-	top := newEnv(in.globals)
-	var last Value
-	for _, s := range prog {
-		v, has, err := in.execStmt(top, s)
-		if err != nil {
-			if r, ok := err.(ctrlReturn); ok {
-				return r.val, nil
-			}
-			if _, ok := err.(ctrlBreak); ok {
-				return nil, errAt(s.stmtPos(), "break outside a loop")
-			}
-			if _, ok := err.(ctrlContinue); ok {
-				return nil, errAt(s.stmtPos(), "continue outside a loop")
-			}
-			return nil, err
-		}
-		if has {
-			last = v
-		}
-	}
-	return last, nil
+	v, _, err := in.execBody(newEnv(in.globals), prog)
+	return v, err
 }
 
-// execBlock runs a statement list in a fresh child scope.
-func (in *interp) execBlock(parent *env, body []stmt) error {
-	scope := newEnv(parent)
+// execBody runs a program or a function body, the two boundaries control
+// flow cannot cross. A return ends the body with its value (ret); a break
+// or continue that reaches the body escaped every loop, and fails at the
+// body statement it escaped from. Otherwise v is the value of the last
+// expression statement.
+func (in *interp) execBody(scope *env, body []stmt) (v Value, ret bool, err error) {
+	for _, s := range body {
+		x, has, err := in.execStmt(scope, s)
+		switch c := err.(type) {
+		case nil:
+		case ctrlReturn:
+			return c.val, true, nil
+		case ctrlBreak, ctrlContinue:
+			return nil, false, errAt(s.stmtPos(), "%v", c)
+		default:
+			return nil, false, err
+		}
+		if has {
+			v = x
+		}
+	}
+	return v, false, nil
+}
+
+// execStmts runs a statement list in scope, stopping at the first error or
+// control transfer, which it hands back.
+func (in *interp) execStmts(scope *env, body []stmt) error {
 	for _, s := range body {
 		if _, _, err := in.execStmt(scope, s); err != nil {
 			return err
@@ -159,8 +165,25 @@ func (in *interp) execBlock(parent *env, body []stmt) error {
 	return nil
 }
 
+// loopPass runs one pass of a loop body in scope: a continue ends the
+// pass, a break or an error ends the loop (stop). A pass that reaches the
+// end of the body costs back more steps.
+func (in *interp) loopPass(scope *env, body []stmt, back int64) (stop bool, err error) {
+	switch err := in.execStmts(scope, body); err.(type) {
+	case nil:
+		err := in.step(back)
+		return err != nil, err
+	case ctrlContinue:
+		return false, nil
+	case ctrlBreak:
+		return true, nil
+	default:
+		return true, err
+	}
+}
+
 // execStmt executes one statement. The Value/bool pair reports the value
-// of an expression statement (for program-result tracking at top level).
+// of an expression statement (the last one is a program's value).
 func (in *interp) execStmt(scope *env, s stmt) (Value, bool, error) {
 	if err := in.step(1); err != nil {
 		return nil, false, err
@@ -191,10 +214,10 @@ func (in *interp) execStmt(scope *env, s stmt) (Value, bool, error) {
 			return nil, false, errAt(st.cond.exprPos(), "if condition must be a bool, got %s", typeName(cond))
 		}
 		if b {
-			return nil, false, in.execBlock(scope, st.then)
+			return nil, false, in.execStmts(newEnv(scope), st.then)
 		}
 		if st.els != nil {
-			return nil, false, in.execBlock(scope, st.els)
+			return nil, false, in.execStmts(newEnv(scope), st.els)
 		}
 		return nil, false, nil
 	case *whileStmt:
@@ -210,16 +233,7 @@ func (in *interp) execStmt(scope *env, s stmt) (Value, bool, error) {
 			if !b {
 				return nil, false, nil
 			}
-			if err := in.execBlock(scope, st.body); err != nil {
-				if _, ok := err.(ctrlBreak); ok {
-					return nil, false, nil
-				}
-				if _, ok := err.(ctrlContinue); ok {
-					continue
-				}
-				return nil, false, err
-			}
-			if err := in.step(1); err != nil {
+			if stop, err := in.loopPass(newEnv(scope), st.body, 1); stop {
 				return nil, false, err
 			}
 		}
@@ -248,86 +262,50 @@ func (in *interp) execForIn(scope *env, st *forInStmt) error {
 	if err != nil {
 		return err
 	}
-	iter := func(k, v Value) error {
+	// iter runs one pass with the loop variables bound to k and v; stop
+	// ends the loop.
+	iter := func(k, v Value) (stop bool, err error) {
 		if err := in.step(1); err != nil {
-			return err
+			return true, err
 		}
 		body := newEnv(scope)
 		if st.k != "" {
 			body.vars[st.k] = k
-			body.vars[st.v] = v
-		} else {
-			body.vars[st.v] = v
 		}
-		for _, s := range st.body {
-			if _, _, err := in.execStmt(body, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	loop := func(f func() error) error {
-		err := f()
-		if err != nil {
-			if _, ok := err.(ctrlBreak); ok {
-				return errStopIteration
-			}
-			if _, ok := err.(ctrlContinue); ok {
-				return nil
-			}
-		}
-		return err
+		body.vars[st.v] = v
+		return in.loopPass(body, st.body, 0)
 	}
 	switch seq := x.(type) {
 	case *List:
 		for i, e := range seq.Elems {
-			if err := loop(func() error { return iter(float64(i), e) }); err != nil {
-				if err == errStopIteration {
-					return nil
-				}
+			if stop, err := iter(float64(i), e); stop {
 				return err
 			}
 		}
-		return nil
 	case *Map:
 		// Iterate a snapshot of the key order so the body may mutate
 		// the map without corrupting the walk.
-		keys := make([]string, len(seq.keys))
-		copy(keys, seq.keys)
-		if err := in.charge(int64(16 * len(keys))); err != nil {
+		if err := in.charge(int64(16 * len(seq.keys))); err != nil {
 			return err
 		}
-		for _, k := range keys {
-			v, ok := seq.vals[k]
-			if !ok {
-				continue
-			}
-			if err := loop(func() error { return iter(k, v) }); err != nil {
-				if err == errStopIteration {
-					return nil
+		for _, k := range slices.Clone(seq.keys) {
+			if v, ok := seq.vals[k]; ok {
+				if stop, err := iter(k, v); stop {
+					return err
 				}
-				return err
 			}
 		}
-		return nil
 	case string:
 		for _, r := range seq {
-			r := r
-			if err := loop(func() error { return iter(nil, string(r)) }); err != nil {
-				if err == errStopIteration {
-					return nil
-				}
+			if stop, err := iter(nil, string(r)); stop {
 				return err
 			}
 		}
-		return nil
 	default:
 		return errAt(st.x.exprPos(), "cannot iterate over a %s", typeName(x))
 	}
+	return nil
 }
-
-// errStopIteration is an internal marker used only inside execForIn.
-var errStopIteration = &Error{Msg: "internal: stop iteration"}
 
 func (in *interp) execAssign(scope *env, st *assignStmt) error {
 	v, err := in.evalExpr(scope, st.val)
@@ -527,23 +505,11 @@ func (in *interp) evalCall(scope *env, ex *callExpr) (Value, error) {
 		for i, p := range f.params {
 			frame.vars[p] = args[i]
 		}
-		for _, s := range f.body {
-			if _, _, err := in.execStmt(frame, s); err != nil {
-				if r, ok := err.(ctrlReturn); ok {
-					return r.val, nil
-				}
-				// A call is a control-flow boundary: break/continue may
-				// not escape the function that contains them.
-				if _, ok := err.(ctrlBreak); ok {
-					return nil, errAt(s.stmtPos(), "break outside a loop")
-				}
-				if _, ok := err.(ctrlContinue); ok {
-					return nil, errAt(s.stmtPos(), "continue outside a loop")
-				}
-				return nil, err
-			}
+		v, ret, err := in.execBody(frame, f.body)
+		if !ret {
+			v = nil
 		}
-		return nil, nil
+		return v, err
 	default:
 		return nil, errAt(ex.pos, "cannot call a %s", typeName(fv))
 	}

@@ -8,7 +8,7 @@ import (
 
 // HostScenarioJSON renders a JSON document the way the host hands a
 // script map to scenario.Unmarshal: decoded into script values, keys in
-// document order, then written by appendValueCompact.
+// document order, then written compact by appendValueJSON.
 func HostScenarioJSON(doc []byte) ([]byte, error) {
 	dec := json.NewDecoder(bytes.NewReader(doc))
 	dec.UseNumber()
@@ -16,7 +16,7 @@ func HostScenarioJSON(doc []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendValueCompact(nil, v, 0)
+	return appendValueJSON(nil, v, -1)
 }
 
 // LexBytes lexes src with the tuned lexer and with the oracle, returning

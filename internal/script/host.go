@@ -42,19 +42,35 @@ func registerHost(scope *env) {
 
 // specFromValue converts a script map into a wire scenario through the
 // strict decoder, so scripts get exactly the validation surface of the
-// HTTP and CLI layers (unknown fields rejected, same error texts).
-func specFromValue(pos Pos, v Value) (*scenario.Spec, error) {
+// HTTP and CLI layers (unknown fields rejected, same error texts). Item i
+// of a list names itself "scenario [i]" in the error; i < 0 marks a lone
+// scenario, whose decoder errors read "invalid scenario".
+func specFromValue(pos Pos, i int, v Value) (*scenario.Spec, error) {
+	label := func(msg string) string {
+		if i < 0 {
+			return msg
+		}
+		return fmt.Sprintf("scenario [%d]: %s", i, msg)
+	}
 	m, ok := v.(*Map)
 	if !ok {
-		return nil, errAt(pos, "footprint needs a scenario map or a list of them, got %s", typeName(v))
+		return nil, errAt(pos, "%s", label("footprint needs a scenario map or a list of them, got "+typeName(v)))
 	}
-	data, err := appendValueCompact(nil, m, 0)
+	data, err := appendValueJSON(nil, m, -1)
 	if err != nil {
-		return nil, err
+		if i < 0 {
+			return nil, err
+		}
+		// The writer's errors may be shared (errTooDeep): wrap, never edit.
+		return nil, &Error{Pos: pos, Msg: label(err.(*Error).Msg), Err: err}
 	}
 	spec, err := scenario.Unmarshal(data)
 	if err != nil {
-		return nil, &Error{Pos: pos, Msg: fmt.Sprintf("invalid scenario: %v", err), Err: err}
+		msg := label(err.Error())
+		if i < 0 {
+			msg = "invalid scenario: " + msg
+		}
+		return nil, &Error{Pos: pos, Msg: msg, Err: err}
 	}
 	return spec, nil
 }
@@ -138,10 +154,6 @@ func decodeOrdered(dec *json.Decoder, depth int) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeOrderedFrom(dec, tok, depth)
-}
-
-func decodeOrderedFrom(dec *json.Decoder, tok json.Token, depth int) (Value, error) {
 	switch t := tok.(type) {
 	case json.Delim:
 		switch t {
@@ -199,102 +211,98 @@ func decodeOrderedFrom(dec *json.Decoder, tok json.Token, depth int) (Value, err
 	}
 }
 
-// evalSpecDoc runs one scenario through the columnar engine as a batch of
-// one and returns the canonical result document — the same bytes every
-// other surface emits. The document is copied out of the batch's pooled
-// arena before the batch is released.
-func evalSpecDoc(spec *scenario.Spec) ([]byte, error) {
-	res := colbatch.Eval([]*scenario.Spec{spec})
-	defer res.Close()
-	if err := res.Err(0); err != nil {
-		return nil, err
+// evalFootprints is the one path from scenario maps to model results:
+// footprint() and footprint_doc() both run through it. It bills
+// stepsPerFootprint a scenario, converts every item to a spec, then runs
+// the specs through the columnar batch engine hostChunk at a time,
+// polling the context before each chunk so a deadline cancels a large
+// sweep mid-host-call, and hands each result to each in order. In the
+// list form (list set) items name themselves "scenario [i]" in errors
+// and the result list's header is charged before any evaluation.
+func (in *interp) evalFootprints(pos Pos, items []Value, list bool, each func(res *colbatch.Results, i int) error) error {
+	if err := in.step(stepsPerFootprint * int64(len(items))); err != nil {
+		return err
 	}
-	return bytes.Clone(res.Doc(0)), nil
+	specs := make([]*scenario.Spec, len(items))
+	for i, v := range items {
+		// Spec conversion is JSON-priced per item; poll the context so a
+		// deadline cancels during conversion of a huge list, not after it.
+		if i%hostChunk == 0 {
+			if err := in.checkCtx(); err != nil {
+				return err
+			}
+		}
+		item := -1
+		if list {
+			item = i
+		}
+		spec, err := specFromValue(pos, item, v)
+		if err != nil {
+			return err
+		}
+		specs[i] = spec
+	}
+	if list {
+		if err := in.charge(24 + 16*int64(len(specs))); err != nil {
+			return err
+		}
+	}
+	for lo := 0; lo < len(specs); lo += hostChunk {
+		if err := in.checkCtx(); err != nil {
+			return err
+		}
+		if err := evalChunk(pos, specs[lo:min(lo+hostChunk, len(specs))], lo, list, each); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// evalChunk evaluates specs, items lo onwards, and hands each result to
+// each before the batch's pooled arena is released.
+func evalChunk(pos Pos, specs []*scenario.Spec, lo int, list bool, each func(res *colbatch.Results, i int) error) error {
+	res := colbatch.Eval(specs)
+	defer res.Close()
+	for i := 0; i < res.Len(); i++ {
+		if err := res.Err(i); err != nil {
+			if list {
+				err = fmt.Errorf("scenario [%d]: %w", lo+i, err)
+			}
+			return hostEvalError(pos, err)
+		}
+		if err := each(res, i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // hostFootprint is footprint(spec-map) → result map, or
-// footprint(list-of-spec-maps) → list of result maps. The list form runs
-// through the columnar batch engine in chunks, polling the context
-// between chunks so deadlines cancel mid-call.
+// footprint(list-of-spec-maps) → list of result maps.
 func hostFootprint(in *interp, pos Pos, args []Value) (Value, error) {
 	if err := argCount("footprint", pos, args, 1, 1); err != nil {
 		return nil, err
 	}
-	if l, ok := args[0].(*List); ok {
-		return footprintBatch(in, pos, l)
+	l, list := args[0].(*List)
+	items := args
+	if list {
+		items = l.Elems
 	}
-	if err := in.step(stepsPerFootprint); err != nil {
-		return nil, err
-	}
-	spec, err := specFromValue(pos, args[0])
-	if err != nil {
-		return nil, err
-	}
-	res := colbatch.Eval([]*scenario.Spec{spec})
-	defer res.Close()
-	if err := res.Err(0); err != nil {
-		return nil, hostEvalError(pos, err)
-	}
-	return resultValue(in, res, 0, &docBuilder{})
-}
-
-func footprintBatch(in *interp, pos Pos, l *List) (Value, error) {
-	if err := in.step(stepsPerFootprint * int64(len(l.Elems))); err != nil {
-		return nil, err
-	}
-	specs := make([]*scenario.Spec, len(l.Elems))
-	for i, e := range l.Elems {
-		// Spec conversion is JSON-priced per element; poll the context so a
-		// deadline cancels during conversion of a huge list, not after it.
-		if i%hostChunk == 0 {
-			if err := in.checkCtx(); err != nil {
-				return nil, err
-			}
-		}
-		spec, err := specFromValue(pos, e)
-		if err != nil {
-			if se, ok := err.(*Error); ok {
-				se.Msg = fmt.Sprintf("scenario [%d]: %s", i, strings.TrimPrefix(se.Msg, "invalid scenario: "))
-				if se.Msg == fmt.Sprintf("scenario [%d]: ", i) {
-					se.Msg = fmt.Sprintf("scenario [%d]: invalid", i)
-				}
-				return nil, se
-			}
-			return nil, err
-		}
-		specs[i] = spec
-	}
-	out := &List{Elems: make([]Value, 0, len(specs))}
-	if err := in.charge(24 + 16*int64(len(specs))); err != nil {
-		return nil, err
-	}
+	out := make([]Value, 0, len(items))
 	d := &docBuilder{}
-	for lo := 0; lo < len(specs); lo += hostChunk {
-		// The poll between chunks is what lets a deadline cancel a
-		// large sweep mid-host-call rather than after it.
-		if err := in.checkCtx(); err != nil {
-			return nil, err
-		}
-		hi := lo + hostChunk
-		if hi > len(specs) {
-			hi = len(specs)
-		}
-		res := colbatch.Eval(specs[lo:hi])
-		for i := 0; i < res.Len(); i++ {
-			if err := res.Err(i); err != nil {
-				res.Close()
-				return nil, hostEvalError(pos, fmt.Errorf("scenario [%d]: %w", lo+i, err))
-			}
-			v, err := resultValue(in, res, i, d)
-			if err != nil {
-				res.Close()
-				return nil, err
-			}
-			out.Elems = append(out.Elems, v)
-		}
-		res.Close()
+	err := in.evalFootprints(pos, items, list, func(res *colbatch.Results, i int) error {
+		v, err := resultValue(in, res, i, d)
+		out = append(out, v)
+		return err
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case list:
+		return &List{Elems: out}, nil
+	default:
+		return out[0], nil
 	}
-	return out, nil
 }
 
 // hostFootprintDoc is footprint_doc(spec-map) → the canonical result
@@ -305,24 +313,15 @@ func hostFootprintDoc(in *interp, pos Pos, args []Value) (Value, error) {
 	if err := argCount("footprint_doc", pos, args, 1, 1); err != nil {
 		return nil, err
 	}
-	if err := in.step(stepsPerFootprint); err != nil {
-		return nil, err
-	}
-	if err := in.checkCtx(); err != nil {
-		return nil, err
-	}
-	spec, err := specFromValue(pos, args[0])
+	var doc string
+	err := in.evalFootprints(pos, args, false, func(res *colbatch.Results, i int) error {
+		doc = string(res.Doc(i))
+		return in.charge(16 + int64(len(doc)))
+	})
 	if err != nil {
 		return nil, err
 	}
-	doc, err := evalSpecDoc(spec)
-	if err != nil {
-		return nil, hostEvalError(pos, err)
-	}
-	if err := in.charge(16 + int64(len(doc))); err != nil {
-		return nil, err
-	}
-	return string(doc), nil
+	return doc, nil
 }
 
 // hostEvalError wraps a model-evaluation failure. Validation failures

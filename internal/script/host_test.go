@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -260,5 +261,45 @@ emit("done", true)`, Options{})
 	}
 	if out.Emits[3].Name != "done" {
 		t.Fatalf("last emit = %+v", out.Emits[3])
+	}
+}
+
+const cyclicScenarioList = "let m = {\"name\": \"x\"}\nm[\"self\"] = m\nfootprint([m])"
+
+// TestCyclicScenarioInListKeepsSharedErrorIntact: a cyclic scenario map
+// in the list form fails with an error of its own, at the call, and
+// leaves the shared depth error alone, so a later cyclic str() still
+// reads without a scenario label.
+func TestCyclicScenarioInListKeepsSharedErrorIntact(t *testing.T) {
+	want := "script:3:10: scenario [0]: value nests deeper than 128 levels (reference cycle?)"
+	if err := evalErr(t, cyclicScenarioList); err.Error() != want {
+		t.Fatalf("footprint([cyclic]) error = %q, want %q", err, want)
+	}
+	want = "script: value nests deeper than 128 levels (reference cycle?)"
+	if err := evalErr(t, "let l = []\nappend(l, l)\nstr(l)"); err.Error() != want {
+		t.Fatalf("str(cyclic) after footprint([cyclic]) = %q, want %q", err, want)
+	}
+}
+
+// TestCyclicScenarioInListConcurrent runs the failing list form from two
+// goroutines at once; under -race it catches a write to a shared error.
+func TestCyclicScenarioInListConcurrent(t *testing.T) {
+	want := "script:3:10: scenario [0]: value nests deeper than 128 levels (reference cycle?)"
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			for i := 0; i < 20; i++ {
+				if _, err := Eval(context.Background(), cyclicScenarioList, Options{}); err == nil || err.Error() != want {
+					errs <- fmt.Errorf("footprint([cyclic]) error = %v, want %q", err, want)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package script
 
 import (
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -193,7 +194,7 @@ func (lx *oracleLexer) lexNumber() error {
 		}
 	}
 	text := lx.src[start:lx.off]
-	f, err := parseFloatStrict(text)
+	f, err := strconv.ParseFloat(text, 64)
 	if err != nil {
 		return errAt(pos, "malformed number %q", text)
 	}
@@ -203,7 +204,6 @@ func (lx *oracleLexer) lexNumber() error {
 
 func (lx *oracleLexer) lexString() error {
 	pos := lx.pos()
-	start := lx.off
 	lx.advance(1) // opening quote
 	var sb strings.Builder
 	for {
@@ -281,7 +281,7 @@ func (lx *oracleLexer) lexString() error {
 		sb.WriteString(lx.src[lx.off : lx.off+size])
 		lx.advance(size)
 	}
-	lx.toks = append(lx.toks, token{kind: tokString, text: lx.src[start:lx.off], pos: pos, str: sb.String()})
+	lx.emit(tokString, sb.String(), pos)
 	return nil
 }
 

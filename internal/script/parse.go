@@ -639,7 +639,7 @@ func (p *parser) primary() (expr, error) {
 		return &numLit{pos: t.pos, val: t.num}, nil
 	case tokString:
 		p.next()
-		return &strLit{pos: t.pos, val: t.str}, nil
+		return &strLit{pos: t.pos, val: t.text}, nil
 	case tokIdent:
 		switch t.text {
 		case "true", "false":
@@ -734,7 +734,7 @@ func (p *parser) mapLiteral() (expr, error) {
 		switch {
 		case t.kind == tokString:
 			p.next()
-			key = &strLit{pos: t.pos, val: t.str}
+			key = &strLit{pos: t.pos, val: t.text}
 		case t.kind == tokIdent && !keywords[t.text]:
 			p.next()
 			key = &strLit{pos: t.pos, val: t.text}

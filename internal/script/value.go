@@ -2,7 +2,6 @@ package script
 
 import (
 	"fmt"
-	"strconv"
 
 	"act/internal/report"
 )
@@ -227,17 +226,16 @@ func deepCopy(v Value, depth int) (Value, error) {
 	}
 }
 
-// parseFloatStrict parses a decimal float the lexer has already shaped;
-// it exists so the lexer and the num() builtin share one implementation.
-func parseFloatStrict(s string) (float64, error) {
-	return strconv.ParseFloat(s, 64)
-}
-
-// appendValueJSON appends v as two-space-indented JSON at the given
-// indent level, replicating encoding/json's MarshalIndent layout with map
-// keys in insertion order. Functions are not encodable.
+// appendValueJSON appends v as JSON with map keys in insertion order.
+// At indent >= 0 it replicates encoding/json's MarshalIndent layout (two
+// spaces a level) starting at that level; at indent < 0 it writes compact
+// JSON, counting the nesting down from -1. Functions are not encodable.
 func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
-	if indent > maxValueDepth {
+	inner, colon := indent+1, ": "
+	if indent < 0 {
+		inner, colon = indent-1, ":"
+	}
+	if indent > maxValueDepth || indent < -maxValueDepth-1 {
 		return nil, errTooDeep
 	}
 	switch x := v.(type) {
@@ -264,9 +262,9 @@ func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendIndent(buf, indent+1)
+			buf = appendIndent(buf, inner)
 			var err error
-			if buf, err = appendValueJSON(buf, e, indent+1); err != nil {
+			if buf, err = appendValueJSON(buf, e, inner); err != nil {
 				return nil, err
 			}
 		}
@@ -281,11 +279,11 @@ func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendIndent(buf, indent+1)
+			buf = appendIndent(buf, inner)
 			buf = report.AppendJSONString(buf, k)
-			buf = append(buf, ": "...)
+			buf = append(buf, colon...)
 			var err error
-			if buf, err = appendValueJSON(buf, x.vals[k], indent+1); err != nil {
+			if buf, err = appendValueJSON(buf, x.vals[k], inner); err != nil {
 				return nil, err
 			}
 		}
@@ -296,62 +294,15 @@ func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
 	}
 }
 
+// appendIndent starts a new line at the given level; compact levels
+// (below zero) get nothing.
 func appendIndent(buf []byte, level int) []byte {
+	if level < 0 {
+		return buf
+	}
 	buf = append(buf, '\n')
 	for i := 0; i < level; i++ {
 		buf = append(buf, "  "...)
 	}
 	return buf
-}
-
-// appendValueCompact appends v as compact (un-indented) JSON, used to
-// hand scenario maps to the strict wire decoder.
-func appendValueCompact(buf []byte, v Value, depth int) ([]byte, error) {
-	if depth > maxValueDepth {
-		return nil, errTooDeep
-	}
-	switch x := v.(type) {
-	case nil:
-		return append(buf, "null"...), nil
-	case bool:
-		if x {
-			return append(buf, "true"...), nil
-		}
-		return append(buf, "false"...), nil
-	case float64:
-		if num, ok := report.AppendJSONFloat(buf, x); ok {
-			return num, nil
-		}
-		return append(buf, "null"...), nil // NaN and ±Inf have no JSON form
-	case string:
-		return report.AppendJSONString(buf, x), nil
-	case *List:
-		buf = append(buf, '[')
-		for i, e := range x.Elems {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			var err error
-			if buf, err = appendValueCompact(buf, e, depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return append(buf, ']'), nil
-	case *Map:
-		buf = append(buf, '{')
-		for i, k := range x.keys {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = report.AppendJSONString(buf, k)
-			buf = append(buf, ':')
-			var err error
-			if buf, err = appendValueCompact(buf, x.vals[k], depth+1); err != nil {
-				return nil, err
-			}
-		}
-		return append(buf, '}'), nil
-	default:
-		return nil, &Error{Msg: fmt.Sprintf("a %s value cannot be encoded to JSON", typeName(v))}
-	}
 }

@@ -1,6 +1,7 @@
 // Package scripts holds the repository's shell tools. Its tests run them
-// against a stub go command, so a change in what bench.sh records or
-// refuses fails tier-1 without a real benchmark run.
+// against a stub go command or a scratch git repository, so a change in
+// what bench.sh records or refuses, or in what loc.sh counts, fails
+// tier-1 without a real benchmark run.
 package scripts
 
 import (
