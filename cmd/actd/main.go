@@ -208,8 +208,6 @@ func run(opts options) error {
 		if err := srv.EnableCluster(opts.cluster); err != nil {
 			return fmt.Errorf("cluster: %w", err)
 		}
-		log.Info("cluster mode enabled",
-			"self", opts.cluster.Self, "members", len(opts.cluster.Peers))
 	}
 
 	var exporter *export.Exporter

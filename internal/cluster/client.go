@@ -11,6 +11,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -38,6 +39,10 @@ const (
 	PathCommit   = "/v1/cluster/recompute/commit"
 	PathAbort    = "/v1/cluster/recompute/abort"
 )
+
+// maxResponse bounds the bytes read of one peer answer. A partial is
+// sized by the shard count and the distinct BoMs, far below it.
+const maxResponse = 1 << 30
 
 // callResult is one completed peer exchange. Status < 500 — the peer
 // answered deliberately; the caller interprets the code and body.
@@ -105,7 +110,7 @@ func (p *peerClient) attempt(ctx context.Context, method, path, rawQuery, conten
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: %w", p.base, err))
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxResponse))
 	if err != nil {
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: reading response: %w", p.base, err))
 	}
@@ -116,6 +121,32 @@ func (p *peerClient) attempt(ctx context.Context, method, path, rawQuery, conten
 	return &callResult{status: resp.StatusCode, body: b, header: resp.Header}, nil
 }
 
+// MemberError is a member's deliberate non-2xx answer to a forwarded
+// request: its status and the fields of its v1 error envelope. The serve
+// layer writes it back unchanged, so the coordinator relays the owner's
+// envelope rather than reclassifying it.
+type MemberError struct {
+	Status  int    `json:"-"`
+	Code    string `json:"code"`
+	Field   string `json:"field"`
+	Message string `json:"message"`
+}
+
+func (e *MemberError) Error() string { return e.Message }
+
+// memberError decodes a member's non-2xx answer. A body that is not an
+// error envelope is a plain error naming the member.
+func memberError(base string, res *callResult) error {
+	var env struct {
+		Error MemberError `json:"error"`
+	}
+	if err := json.Unmarshal(res.body, &env); err != nil || env.Error.Code == "" {
+		return fmt.Errorf("cluster: peer %s: answered %d: %s", base, res.status, compactBody(res.body))
+	}
+	env.Error.Status = res.status
+	return &env.Error
+}
+
 // compactBody squeezes an error body onto one log-friendly line.
 func compactBody(b []byte) string {
 	s := strings.TrimSpace(string(b))
@@ -123,11 +154,6 @@ func compactBody(b []byte) string {
 		s = s[:256] + "..."
 	}
 	return strings.ReplaceAll(s, "\n", " ")
-}
-
-// get is a body-less call with query parameters.
-func (p *peerClient) get(ctx context.Context, path string, q url.Values) (*callResult, error) {
-	return p.call(ctx, http.MethodGet, path, q.Encode(), "", nil, false)
 }
 
 // normalizeURL canonicalizes a member base URL: scheme + host (+ path),

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -61,8 +62,8 @@ type Cluster struct {
 	reg     *fleet.Registry
 	self    string
 	ring    *Ring
-	members []string // sorted, self included
-	peers   map[string]*peerClient
+	members []string      // sorted, self included
+	peers   []*peerClient // the members but self, in member order
 	hc      *http.Client
 	logf    func(string, ...any)
 
@@ -97,13 +98,7 @@ func New(cfg Config) (*Cluster, error) {
 		members = append(members, n)
 	}
 	sort.Strings(members)
-	selfSeen := false
-	for _, m := range members {
-		if m == self {
-			selfSeen = true
-		}
-	}
-	if !selfSeen {
+	if !slices.Contains(members, self) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", self)
 	}
 	ring, err := NewRing(members, cfg.Vnodes)
@@ -137,7 +132,6 @@ func New(cfg Config) (*Cluster, error) {
 		self:    self,
 		ring:    ring,
 		members: members,
-		peers:   map[string]*peerClient{},
 		hc:      hc,
 		logf:    logf,
 	}
@@ -151,21 +145,30 @@ func New(cfg Config) (*Cluster, error) {
 			retry: resilience.RetryPolicy{MaxAttempts: attempts},
 		}
 		if threshold > 0 {
-			peerName := m
 			p.brk = resilience.NewBreaker(resilience.BreakerConfig{
 				FailureThreshold: threshold,
 				OpenFor:          openFor,
 				OnStateChange: func(from, to resilience.State) {
-					logf("cluster: peer %s breaker %s -> %s", peerName, from, to)
+					logf("cluster: peer %s breaker %s -> %s", m, from, to)
 					if cfg.OnPeerBreakerChange != nil {
-						cfg.OnPeerBreakerChange(peerName, from, to)
+						cfg.OnPeerBreakerChange(m, from, to)
 					}
 				},
 			})
 		}
-		c.peers[m] = p
+		c.peers = append(c.peers, p)
 	}
 	return c, nil
+}
+
+// peer returns the client of a remote member.
+func (c *Cluster) peer(name string) (*peerClient, error) {
+	for _, p := range c.peers {
+		if p.base == name {
+			return p, nil
+		}
+	}
+	return nil, fmt.Errorf("cluster: no peer client for owner %s", name)
 }
 
 // Self returns this node's normalized base URL.
@@ -226,39 +229,36 @@ func (c *Cluster) GatherPartials(ctx context.Context, topK int, groupBy string) 
 	if err != nil {
 		return nil, nil, err
 	}
-	type answer struct {
-		peer string
-		p    Partial
-		err  error
-	}
-	answers := make(chan answer, len(c.peers))
-	for name, p := range c.peers {
-		go func(name string, p *peerClient) {
-			res, err := p.get(ctx, PathPartial, partialQuery(topK, groupBy))
-			if err != nil {
-				answers <- answer{peer: name, err: err}
-				return
-			}
-			part, err := decodePartial(res.status, res.body)
-			if err != nil {
-				err = fmt.Errorf("cluster: peer %s: %w", name, err)
-			}
-			answers <- answer{peer: name, p: part, err: err}
-		}(name, p)
-	}
 	partials = append(partials, local)
-	for range c.peers {
-		a := <-answers
-		if a.err != nil {
-			c.logf("cluster: gather: %v", a.err)
-			missing = append(missing, a.peer)
+	got, errs := fetchPartials(ctx, c.peers, topK, groupBy)
+	for i, err := range errs {
+		if err != nil {
+			c.logf("cluster: gather from %s: %v", c.peers[i].base, err)
+			missing = append(missing, c.peers[i].base)
 			continue
 		}
-		partials = append(partials, a.p)
+		partials = append(partials, got[i])
 	}
 	sort.Slice(partials, func(i, j int) bool { return partials[i].Node < partials[j].Node })
-	sort.Strings(missing)
 	return partials, missing, nil
+}
+
+// fanOut calls fn once per item, each on its own goroutine, and returns
+// the results and errors in item order. A failing leg never cancels the
+// others: a gather tolerates missing members, and a recompute wave or an
+// ingest scatter needs every member's answer.
+func fanOut[T, R any](items []T, fn func(T) (R, error)) ([]R, []error) {
+	vals, errs := make([]R, len(items)), make([]error, len(items))
+	var wg sync.WaitGroup
+	for i, it := range items {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vals[i], errs[i] = fn(it)
+		}()
+	}
+	wg.Wait()
+	return vals, errs
 }
 
 // Summary answers a fleet query by scatter-gather and fold. missing
@@ -290,20 +290,23 @@ func (c *Cluster) Summary(ctx context.Context, q fleet.Query) (doc report.FleetS
 	return doc, missing, nil
 }
 
-// ProxyDelete forwards a device removal to its owning member and relays
-// the owner's verbatim answer (status and body). The forwarded-hop
+// ProxyDelete forwards a device removal to its owning member. An owner's
+// refusal (a 404, say) comes back as its *MemberError. The forwarded-hop
 // header stops a second hop: if the owner disagrees about ownership it
 // answers 409 rather than forwarding again.
-func (c *Cluster) ProxyDelete(ctx context.Context, owner, id string) (status int, body []byte, err error) {
-	p := c.peers[owner]
-	if p == nil {
-		return 0, nil, fmt.Errorf("cluster: no peer client for owner %s", owner)
+func (c *Cluster) ProxyDelete(ctx context.Context, owner, id string) error {
+	p, err := c.peer(owner)
+	if err != nil {
+		return err
 	}
 	res, err := p.call(ctx, http.MethodDelete, "/v1/fleet/devices/"+url.PathEscape(id), "", "", nil, true)
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	return res.status, res.body, nil
+	if res.status != http.StatusOK {
+		return memberError(p.base, res)
+	}
+	return nil
 }
 
 // SeedFrom replaces this node's registry state with a snapshot shipped

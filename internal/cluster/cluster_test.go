@@ -762,3 +762,166 @@ func TestSeedFromErrors(t *testing.T) {
 		t.Error("seeding from a non-cluster server succeeded")
 	}
 }
+
+// TestClusterIngestErrorsMatchSingleNode sends the same stream, with one
+// bad record, to a 3-node cluster and to a single node, and requires the
+// same status, code, field and message (request_id aside). Every member
+// coordinates in turn, and a bad record that names a device id is owned
+// by each member in turn, so each failure is met on the coordinator's
+// own registry and behind a forwarded hop.
+func TestClusterIngestErrorsMatchSingleNode(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	_, ots := newOracle(t)
+	c0 := tc.nodes[0].srv.Cluster()
+
+	spec := func(version int, node string) string {
+		return fmt.Sprintf(`{"version":%d,"name":"bom","logic":[{"name":"soc","area_mm2":12,"node":%q}],"usage":{"power_w":2,"app_hours":876.6}}`, version, node)
+	}
+	record := func(id, region, deployed, scen string) string {
+		return fmt.Sprintf(`{"id":%q,"region":%q,"deployed":%q,"scenario":%s}`, id, region, deployed, scen)
+	}
+	cases := []struct {
+		name string
+		bad  func(id string) string
+	}{
+		{"missing id", func(string) string {
+			return `{"region":"europe","deployed":"2024-01-01","scenario":` + spec(1, "7nm") + `}`
+		}},
+		{"malformed JSON", func(id string) string { return fmt.Sprintf(`{"id":%q "region":"europe"}`, id) }},
+		{"bad date", func(id string) string { return record(id, "europe", "2024-13-45", spec(1, "7nm")) }},
+		{"scenario version 2", func(id string) string { return record(id, "europe", "2024-01-01", spec(2, "7nm")) }},
+		{"unknown node", func(id string) string { return record(id, "europe", "2024-01-01", spec(1, "9000nm")) }},
+		{"unknown region", func(id string) string { return record(id, "mars", "2024-01-01", spec(1, "7nm")) }},
+	}
+	type envelope struct {
+		Error struct {
+			Code    string `json:"code"`
+			Field   string `json:"field"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	answer := func(url string, stream []byte) (int, envelope) {
+		resp, body := post(t, url+"/v1/fleet/devices", stream)
+		var env envelope
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Fatalf("ingest answered %d with no envelope: %s", resp.StatusCode, body)
+		}
+		return resp.StatusCode, env
+	}
+
+	for _, tcase := range cases {
+		for owner, ownerURL := range tc.urls {
+			id := ""
+			for i := 0; id == ""; i++ {
+				if cand := fmt.Sprintf("bad-%d", i); c0.OwnerOf(cand) == ownerURL {
+					id = cand
+				}
+			}
+			var stream bytes.Buffer
+			for i := 0; i < 12; i++ {
+				if i == 7 {
+					stream.WriteString(tcase.bad(id) + "\n")
+				}
+				stream.WriteString(record(fmt.Sprintf("dev-%05d", i), "europe", "2024-01-01", spec(1, "7nm")) + "\n")
+			}
+			wantStatus, want := answer(ots.URL, stream.Bytes())
+			if wantStatus != http.StatusBadRequest || want.Error.Field == "" {
+				t.Fatalf("%s: single node answered %d %+v, want a 400 naming the record", tcase.name, wantStatus, want)
+			}
+			for coord, u := range tc.urls {
+				status, got := answer(u, stream.Bytes())
+				if status != wantStatus || got != want {
+					t.Errorf("%s, owner %d, coordinator %d: cluster answered %d %+v\nsingle node answered %d %+v",
+						tcase.name, owner, coord, status, got, wantStatus, want)
+				}
+			}
+		}
+	}
+}
+
+// TestClusterRecomputeErrorsInMemberOrder: a prepare wave that two
+// downed members refuse joins their errors in member order, every time.
+func TestClusterRecomputeErrorsInMemberOrder(t *testing.T) {
+	tc := newTestCluster(t, 3, nil)
+	tc.nodes[1].sh.setDown(true)
+	tc.nodes[2].sh.setDown(true)
+	first, second := tc.urls[1], tc.urls[2]
+	if second < first {
+		first, second = second, first
+	}
+	for run := 0; run < 10; run++ {
+		err := tc.nodes[0].srv.Cluster().Recompute(context.Background())
+		if err == nil {
+			t.Fatal("recompute with two downed members succeeded")
+		}
+		msg := err.Error()
+		i, j := strings.Index(msg, first), strings.Index(msg, second)
+		if i < 0 || j < 0 || i > j {
+			t.Fatalf("run %d: prepare error does not name %s before %s: %s", run, first, second, msg)
+		}
+	}
+}
+
+// lockedBuffer is a log sink a server writes while a test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestClusterDeleteRelaysOwnerEnvelope: a delete the owner refuses
+// answers the owner's envelope byte for byte, and the coordinator's
+// request log line names its code like any error it writes.
+func TestClusterDeleteRelaysOwnerEnvelope(t *testing.T) {
+	logs := &lockedBuffer{}
+	n := 0
+	tc := newTestCluster(t, 2, func(c *serve.Config) {
+		if n == 0 {
+			c.Logger = slog.New(slog.NewTextHandler(logs, nil))
+		}
+		n++
+	})
+	c0 := tc.nodes[0].srv.Cluster()
+	id := ""
+	for i := 0; id == ""; i++ {
+		if cand := fmt.Sprintf("dev-%05d", i); !c0.IsLocal(cand) {
+			id = cand
+		}
+	}
+	del := func(base string) (int, []byte) {
+		req, _ := http.NewRequest(http.MethodDelete, base+"/v1/fleet/devices/"+id, nil)
+		req.Header.Set("X-Request-Id", "relay-test-0001")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	wantStatus, want := del(c0.OwnerOf(id))
+	status, got := del(tc.urls[0])
+	if wantStatus != http.StatusNotFound || status != wantStatus || !bytes.Equal(got, want) {
+		t.Fatalf("relayed delete answered %d %s\nowner answered %d %s", status, got, wantStatus, want)
+	}
+
+	// The request line is logged after the answer is written.
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(logs.String(), "error_code=not_found") {
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator logged no error_code=not_found:\n%s", logs.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -4,8 +4,10 @@
 // member — shard-grain placement, so all records of one global shard go
 // to one owner and apply there in stream order, the same per-shard apply
 // order the single registry would use — and ships each member its
-// sub-batch in one forwarded request. Error indices are remapped from
-// the sub-batch back to the global stream position.
+// sub-batch in one forwarded request. A member's refusal becomes the
+// error its own registry returned, and its record index is remapped from
+// the sub-batch back to the global stream position, so the coordinator
+// answers exactly what a single node would.
 //
 // Semantic note (documented in API.md): single-node ingest stops at the
 // first invalid record; scattered ingest ships sub-batches in parallel,
@@ -25,7 +27,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"act/internal/acterr"
 	"act/internal/fleet"
@@ -67,8 +68,8 @@ func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult,
 	// Route by id. A record whose id cannot even be peeked routes locally:
 	// it fails validation wherever it lands, and the local registry
 	// produces the canonical typed error for it.
-	batches := map[string]*ingestBatch{}
-	order := []string{}
+	var batches []*ingestBatch
+	byOwner := map[string]*ingestBatch{}
 	for i, raw := range raws {
 		var peek struct {
 			ID string `json:"id"`
@@ -77,39 +78,21 @@ func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult,
 		if err := json.Unmarshal(raw, &peek); err == nil && peek.ID != "" {
 			owner = c.OwnerOf(peek.ID)
 		}
-		b, ok := batches[owner]
+		b, ok := byOwner[owner]
 		if !ok {
 			b = &ingestBatch{owner: owner}
-			batches[owner] = b
-			order = append(order, owner)
+			byOwner[owner] = b
+			batches = append(batches, b)
 		}
 		b.buf.Write(raw)
 		b.buf.WriteByte('\n')
 		b.indices = append(b.indices, i)
 	}
 
-	type outcome struct {
-		res fleet.IngestResult
-		err error // already remapped to global indices
-	}
-	outcomes := make([]outcome, len(order))
-	var wg sync.WaitGroup
-	for bi, owner := range order {
-		b := batches[owner]
-		wg.Add(1)
-		go func(bi int, b *ingestBatch) {
-			defer wg.Done()
-			var o outcome
-			if b.owner == c.self {
-				o.res, o.err = c.reg.IngestNDJSON(&b.buf, 0)
-				o.err = remapIngestError(o.err, b.indices)
-			} else {
-				o.res, o.err = c.forwardIngest(ctx, b)
-			}
-			outcomes[bi] = o
-		}(bi, b)
-	}
-	wg.Wait()
+	results, errs := fanOut(batches, func(b *ingestBatch) (fleet.IngestResult, error) {
+		res, err := c.ingestBatch(ctx, b)
+		return res, remapIngestError(err, b.indices)
+	})
 
 	// Merge counts from every member. When several members failed,
 	// surface the record-indexed failure with the smallest global index;
@@ -117,18 +100,18 @@ func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult,
 	// no indexed failure exists.
 	var indexedErr, plainErr error
 	bestIdx := -1
-	for _, o := range outcomes {
-		res.Upserted += o.res.Upserted
-		res.Replaced += o.res.Replaced
-		if o.err == nil {
+	for i, err := range errs {
+		res.Upserted += results[i].Upserted
+		res.Replaced += results[i].Replaced
+		if err == nil {
 			continue
 		}
-		if idx, ok := ingestErrorIndex(o.err); ok {
+		if idx, ok := ingestErrorIndex(err); ok {
 			if bestIdx < 0 || idx < bestIdx {
-				bestIdx, indexedErr = idx, o.err
+				bestIdx, indexedErr = idx, err
 			}
 		} else if plainErr == nil {
-			plainErr = o.err
+			plainErr = err
 		}
 	}
 	if indexedErr != nil {
@@ -137,53 +120,55 @@ func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult,
 	return res, plainErr
 }
 
-// forwardIngest ships one member its routed sub-batch and folds the
-// answer — a result on 200, a reconstructed typed error otherwise, with
-// record indices remapped to the global stream.
-func (c *Cluster) forwardIngest(ctx context.Context, b *ingestBatch) (fleet.IngestResult, error) {
+// ingestBatch applies one member's routed sub-batch — on the local
+// registry, or shipped to its owner — and answers the owner's registry's
+// result or error, its record index still local to the sub-batch.
+func (c *Cluster) ingestBatch(ctx context.Context, b *ingestBatch) (fleet.IngestResult, error) {
+	if b.owner == c.self {
+		return c.reg.IngestNDJSON(&b.buf, 0)
+	}
 	var res fleet.IngestResult
-	p := c.peers[b.owner]
-	if p == nil {
-		return res, fmt.Errorf("cluster: no peer client for owner %s", b.owner)
+	p, err := c.peer(b.owner)
+	if err != nil {
+		return res, err
 	}
 	cr, err := p.call(ctx, http.MethodPost, "/v1/fleet/devices", "", "application/x-ndjson", b.buf.Bytes(), true)
 	if err != nil {
 		return res, err
 	}
-	if cr.status == http.StatusOK {
-		if err := json.Unmarshal(cr.body, &res); err != nil {
-			return res, fmt.Errorf("cluster: peer %s: decoding ingest result: %w", b.owner, err)
-		}
-		return res, nil
+	if cr.status != http.StatusOK {
+		return res, registryError(memberError(p.base, cr))
 	}
-	// A deliberate non-200: rebuild a typed error from the envelope so the
-	// coordinator's HTTP layer classifies it the way the owner did.
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Field   string `json:"field"`
-			Message string `json:"message"`
-		} `json:"error"`
+	if err := json.Unmarshal(cr.body, &res); err != nil {
+		return res, fmt.Errorf("cluster: peer %s: decoding ingest result: %w", b.owner, err)
 	}
-	if err := json.Unmarshal(cr.body, &env); err != nil {
-		return res, fmt.Errorf("cluster: peer %s: ingest answered %d: %s", b.owner, cr.status, compactBody(cr.body))
-	}
-	field, msg := remapDeviceField(env.Error.Field, env.Error.Message, b.indices)
-	switch env.Error.Code {
-	case "invalid_argument", "unsupported_version":
-		return res, fmt.Errorf("fleet: %w", acterr.Invalid(field, "%s", msg))
-	case "degraded":
-		return res, fmt.Errorf("cluster: peer %s: %w", b.owner, fleet.ErrDegraded)
-	case "too_large":
-		return res, fmt.Errorf("cluster: peer %s: %w: %s", b.owner, fleet.ErrTooMany, msg)
-	default:
-		return res, fmt.Errorf("cluster: peer %s: ingest answered %d (%s): %s", b.owner, cr.status, env.Error.Code, msg)
-	}
+	return res, nil
 }
 
-// remapIngestError rewrites a local sub-batch ingest error's device
-// index to the global stream position, keeping the typed error shape so
-// the HTTP layer still classifies it as 400-with-field.
+// registryError turns a member's validation refusal back into the typed
+// error its registry built — "fleet: " around an InvalidSpecError whose
+// message the envelope carries after its field — so the coordinator's
+// envelope is the member's own. Any other refusal (too large, a
+// conflict) stays the member's envelope, which the serve layer writes
+// unchanged.
+func registryError(err error) error {
+	var me *MemberError
+	if !errors.As(err, &me) || me.Code != "invalid_argument" && me.Code != "unsupported_version" {
+		return err
+	}
+	inv := &acterr.InvalidSpecError{
+		Field:  me.Field,
+		Reason: strings.TrimPrefix(me.Message, "fleet: invalid spec field "+me.Field+": "),
+	}
+	if me.Code == "unsupported_version" {
+		inv.Err = acterr.ErrUnsupportedVersion
+	}
+	return fmt.Errorf("fleet: %w", inv)
+}
+
+// remapIngestError rewrites a sub-batch ingest error's device index to
+// the global stream position, keeping the typed error shape so the HTTP
+// layer still classifies it as 400-with-field.
 func remapIngestError(err error, indices []int) error {
 	if err == nil {
 		return nil
@@ -219,19 +204,6 @@ func splitDeviceField(field string) (idx int, rest string, ok bool) {
 		return 0, "", false
 	}
 	return n, field[end+1:], true
-}
-
-// remapDeviceField rewrites the leading "device[local]" of a field path
-// (and its echo inside the message) to the global stream index.
-func remapDeviceField(field, message string, indices []int) (string, string) {
-	local, rest, ok := splitDeviceField(field)
-	if !ok || local < 0 || local >= len(indices) {
-		return field, message
-	}
-	oldRef := "device[" + strconv.Itoa(local) + "]"
-	newRef := "device[" + strconv.Itoa(indices[local]) + "]"
-	newField := newRef + rest
-	return newField, strings.Replace(message, oldRef, newRef, 1)
 }
 
 // ingestErrorIndex extracts the global device index a remapped ingest

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"act/internal/memdb"
 )
@@ -58,54 +57,40 @@ func (c *Cluster) Recompute(ctx context.Context) error {
 	if err := c.PrepareLocal(ctx, epoch, fp); err != nil {
 		return err
 	}
-	if errs := c.fanRecompute(ctx, PathPrepare, recomputeMsg{Epoch: epoch, Fingerprint: fp}); len(errs) > 0 {
+	if err := c.fanRecompute(ctx, PathPrepare, recomputeMsg{Epoch: epoch, Fingerprint: fp}); err != nil {
 		// Abort everywhere (best effort) and leave the old pricing live.
 		c.AbortLocal(epoch)
 		c.fanRecompute(ctx, PathAbort, recomputeMsg{Epoch: epoch})
-		return fmt.Errorf("cluster: recompute prepare: %w", errors.Join(errs...))
+		return fmt.Errorf("cluster: recompute prepare: %w", err)
 	}
 
 	// Every member staged cleanly: commit. Peers first, self last, so the
 	// coordinator's own epoch only advances once the fan-out ran; either
 	// way a partial commit leaves a mixed cluster that folds refuse until
 	// a recompute rerun heals it.
-	commitErrs := c.fanRecompute(ctx, PathCommit, recomputeMsg{Epoch: epoch})
+	commitErr := c.fanRecompute(ctx, PathCommit, recomputeMsg{Epoch: epoch})
 	if err := c.CommitLocal(ctx, epoch); err != nil {
-		commitErrs = append(commitErrs, fmt.Errorf("local commit: %w", err))
+		commitErr = errors.Join(commitErr, fmt.Errorf("local commit: %w", err))
 	}
-	if len(commitErrs) > 0 {
-		return fmt.Errorf("cluster: recompute commit (rerun recompute to heal): %w", errors.Join(commitErrs...))
+	if commitErr != nil {
+		return fmt.Errorf("cluster: recompute commit (rerun recompute to heal): %w", commitErr)
 	}
 	return nil
 }
 
 // fanRecompute posts one recompute control message to every peer in
-// parallel and collects the failures.
-func (c *Cluster) fanRecompute(ctx context.Context, path string, msg recomputeMsg) []error {
+// parallel and joins the failures in member order (nil when none).
+func (c *Cluster) fanRecompute(ctx context.Context, path string, msg recomputeMsg) error {
 	body, _ := json.Marshal(msg)
-	var (
-		mu   sync.Mutex
-		errs []error
-		wg   sync.WaitGroup
-	)
-	for name, p := range c.peers {
-		wg.Add(1)
-		go func(name string, p *peerClient) {
-			defer wg.Done()
-			res, err := p.call(ctx, http.MethodPost, path, "", "application/json", body, false)
-			if err == nil && res.status != http.StatusOK {
-				err = fmt.Errorf("cluster: peer %s: %s answered %d: %s",
-					name, path, res.status, compactBody(res.body))
-			}
-			if err != nil {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
-		}(name, p)
-	}
-	wg.Wait()
-	return errs
+	_, errs := fanOut(c.peers, func(p *peerClient) (struct{}, error) {
+		res, err := p.call(ctx, http.MethodPost, path, "", "application/json", body, false)
+		if err == nil && res.status != http.StatusOK {
+			err = fmt.Errorf("cluster: peer %s: %s answered %d: %s",
+				p.base, path, res.status, compactBody(res.body))
+		}
+		return struct{}{}, err
+	})
+	return errors.Join(errs...)
 }
 
 // PrepareLocal is the member half of phase one: verify the model-table

@@ -1,6 +1,7 @@
 // In-package unit tests for the pieces the integration harness reaches
-// only through their happy paths: field remapping, URL normalization,
-// body compaction, and the constructor's refusals.
+// only through their happy paths: member error translation, field
+// remapping, URL normalization, body compaction, and the constructor's
+// refusals.
 
 package cluster
 
@@ -37,22 +38,36 @@ func TestSplitDeviceField(t *testing.T) {
 	}
 }
 
-func TestRemapDeviceField(t *testing.T) {
-	indices := []int{40, 41, 42}
-	field, msg := remapDeviceField("device[2].deployed", "invalid spec field device[2].deployed: missing", indices)
-	if field != "device[42].deployed" {
-		t.Errorf("field = %q", field)
-	}
-	if msg != "invalid spec field device[42].deployed: missing" {
-		t.Errorf("message = %q", msg)
+func TestRegistryError(t *testing.T) {
+	// A member's validation refusal becomes the typed error its registry
+	// built: the field path, the reason after the field, and the version
+	// sentinel behind unsupported_version.
+	for _, c := range []struct {
+		code    string
+		version bool
+	}{{"invalid_argument", false}, {"unsupported_version", true}} {
+		err := registryError(&MemberError{Status: 400, Code: c.code, Field: "device[2].scenario",
+			Message: "fleet: invalid spec field device[2].scenario: bad thing"})
+		var inv *acterr.InvalidSpecError
+		if !errors.As(err, &inv) || inv.Field != "device[2].scenario" || inv.Message() != "bad thing" {
+			t.Fatalf("%s: got %v, want the typed error at device[2].scenario", c.code, err)
+		}
+		if err.Error() != "fleet: invalid spec field device[2].scenario: bad thing" {
+			t.Errorf("%s: message = %q, want the member's", c.code, err)
+		}
+		if got := errors.Is(err, acterr.ErrUnsupportedVersion); got != c.version {
+			t.Errorf("%s: Is(ErrUnsupportedVersion) = %v", c.code, got)
+		}
 	}
 
-	// Unparseable or out-of-range fields pass through untouched.
-	for _, bad := range []string{"utilization", "device[9].x"} {
-		f, m := remapDeviceField(bad, "msg", indices)
-		if f != bad || m != "msg" {
-			t.Errorf("remapDeviceField(%q) rewrote to (%q, %q)", bad, f, m)
-		}
+	// Any other refusal stays the member's envelope.
+	degraded := &MemberError{Status: 503, Code: "degraded", Message: "fleet store is degraded"}
+	if got := registryError(degraded); got != error(degraded) {
+		t.Errorf("degraded refusal rewritten to %v", got)
+	}
+	plain := errors.New("io fault")
+	if registryError(plain) != plain {
+		t.Error("untyped error was rewritten")
 	}
 }
 

@@ -86,6 +86,7 @@ func TestDiagnosticCatalog(t *testing.T) {
 		{"footprint non-map", "footprint(1)", "map"},
 		{"footprint bad scenario", `footprint({"version": 1})`, "missing device name"},
 		{"footprint_doc non-map", "footprint_doc([1])", "map"},
+		{"footprint_doc of a list", `footprint_doc([{"name": "x"}])`, "footprint_doc needs a scenario map, got list"},
 		{"pareto bad field", `pareto([{"a": 1}], ["b"])`, `"b"`},
 		{"pareto non-number field", `pareto([{"a": "x"}], ["a"])`, "number"},
 		{"rank unknown metric", `rank("BOGUS", [])`, "metric"},

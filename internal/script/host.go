@@ -44,8 +44,9 @@ func registerHost(scope *env) {
 // strict decoder, so scripts get exactly the validation surface of the
 // HTTP and CLI layers (unknown fields rejected, same error texts). Item i
 // of a list names itself "scenario [i]" in the error; i < 0 marks a lone
-// scenario, whose decoder errors read "invalid scenario".
-func specFromValue(pos Pos, i int, v Value) (*scenario.Spec, error) {
+// scenario, whose decoder errors read "invalid scenario". need is the
+// calling builtin's statement of the forms it takes, for a non-map v.
+func specFromValue(pos Pos, i int, v Value, need string) (*scenario.Spec, error) {
 	label := func(msg string) string {
 		if i < 0 {
 			return msg
@@ -54,7 +55,7 @@ func specFromValue(pos Pos, i int, v Value) (*scenario.Spec, error) {
 	}
 	m, ok := v.(*Map)
 	if !ok {
-		return nil, errAt(pos, "%s", label("footprint needs a scenario map or a list of them, got "+typeName(v)))
+		return nil, errAt(pos, "%s", label(need+", got "+typeName(v)))
 	}
 	data, err := appendValueJSON(nil, m, -1)
 	if err != nil {
@@ -218,8 +219,9 @@ func decodeOrdered(dec *json.Decoder, depth int) (Value, error) {
 // polling the context before each chunk so a deadline cancels a large
 // sweep mid-host-call, and hands each result to each in order. In the
 // list form (list set) items name themselves "scenario [i]" in errors
-// and the result list's header is charged before any evaluation.
-func (in *interp) evalFootprints(pos Pos, items []Value, list bool, each func(res *colbatch.Results, i int) error) error {
+// and the result list's header is charged before any evaluation. need
+// names the builtin and its forms in the error for a non-map item.
+func (in *interp) evalFootprints(pos Pos, items []Value, list bool, need string, each func(res *colbatch.Results, i int) error) error {
 	if err := in.step(stepsPerFootprint * int64(len(items))); err != nil {
 		return err
 	}
@@ -236,7 +238,7 @@ func (in *interp) evalFootprints(pos Pos, items []Value, list bool, each func(re
 		if list {
 			item = i
 		}
-		spec, err := specFromValue(pos, item, v)
+		spec, err := specFromValue(pos, item, v, need)
 		if err != nil {
 			return err
 		}
@@ -290,7 +292,7 @@ func hostFootprint(in *interp, pos Pos, args []Value) (Value, error) {
 	}
 	out := make([]Value, 0, len(items))
 	d := &docBuilder{}
-	err := in.evalFootprints(pos, items, list, func(res *colbatch.Results, i int) error {
+	err := in.evalFootprints(pos, items, list, "footprint needs a scenario map or a list of them", func(res *colbatch.Results, i int) error {
 		v, err := resultValue(in, res, i, d)
 		out = append(out, v)
 		return err
@@ -314,7 +316,7 @@ func hostFootprintDoc(in *interp, pos Pos, args []Value) (Value, error) {
 		return nil, err
 	}
 	var doc string
-	err := in.evalFootprints(pos, args, false, func(res *colbatch.Results, i int) error {
+	err := in.evalFootprints(pos, args, false, "footprint_doc needs a scenario map", func(res *colbatch.Results, i int) error {
 		doc = string(res.Doc(i))
 		return in.charge(16 + int64(len(doc)))
 	})

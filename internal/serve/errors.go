@@ -136,15 +136,16 @@ func (e canceledError) Unwrap() error { return e.error }
 func (canceledError) Is(target error) bool { return target == context.DeadlineExceeded }
 
 // classify is the one mapping from an error to its status and envelope.
-// Order matters: fixed envelopes first, then limits, undecodable
-// requests, the cluster path's own classes, and the typed taxonomy;
-// anything else — including a transient fault that survived the retry
-// budget — is 500/internal. The cluster classes outrank the deadline
-// because a peer call the deadline cut off arrives wrapped as transient,
-// and on the cluster path that is 503.
+// Order matters: fixed envelopes first (a member's relayed refusal is
+// one), then limits, undecodable requests, the cluster path's own
+// classes, and the typed taxonomy; anything else — including a transient
+// fault that survived the retry budget — is 500/internal. The cluster
+// classes outrank the deadline because a peer call the deadline cut off
+// arrives wrapped as transient, and on the cluster path that is 503.
 func classify(err error) (int, errorDetail) {
 	var (
 		ae     *apiError
+		me     *cluster.MemberError
 		tooBig *http.MaxBytesError
 		badReq badRequestError
 		cp     clusterPathError
@@ -154,6 +155,8 @@ func classify(err error) (int, errorDetail) {
 	switch {
 	case errors.As(err, &ae):
 		return ae.status, ae.detail
+	case errors.As(err, &me):
+		return me.Status, errorDetail{Code: me.Code, Field: me.Field, Message: me.Message}
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge, errorDetail{Code: codeTooLarge,
 			Message: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)}

@@ -90,23 +90,20 @@ func (s *Server) handleFleetDelete(w http.ResponseWriter, r *http.Request) error
 			// hop could loop forever, so answer conflict instead.
 			return onClusterPath(cluster.ErrNotOwner)
 		}
-		status, body, err := c.ProxyDelete(r.Context(), c.OwnerOf(id), id)
-		if err != nil {
+		// An owner's refusal comes back as its envelope, which writeError
+		// writes unchanged. The forwarded request carried our X-Request-Id,
+		// so the relayed request_id matches ours.
+		if err := c.ProxyDelete(r.Context(), c.OwnerOf(id), id); err != nil {
 			return onClusterPath(err)
 		}
-		// Relay the owner's verbatim answer. The forwarded request carried
-		// our X-Request-Id, so the relayed body's request_id matches ours.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_, _ = w.Write(body)
-		return nil
-	}
-	found, err := s.fleet.Remove(id)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return newAPIError(http.StatusNotFound, codeNotFound, "", fmt.Sprintf("no device %q", id))
+	} else {
+		found, err := s.fleet.Remove(id)
+		if err != nil {
+			return err
+		}
+		if !found {
+			return newAPIError(http.StatusNotFound, codeNotFound, "", fmt.Sprintf("no device %q", id))
+		}
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"removed": id})
 	return nil
