@@ -4,7 +4,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-export bench-script bench-cluster loc run-actd clean
+.PHONY: all build test verify verify-extended verify-conform verify-cluster verify-chaos verify-crash cover bench bench-cache bench-fleet bench-batch bench-export bench-script bench-sweep bench-cluster loc run-actd clean
 
 all: build
 
@@ -88,9 +88,10 @@ cover:
 # the script interpreter's parse/eval pair (the eval fuzzer runs
 # whole adversarial programs under tight budgets and must terminate
 # without panics or hangs), the script lexer held to its pre-tuning
-# oracle (tokens, positions and error texts), and the JSON scalar
+# oracle (tokens, positions and error texts), the JSON scalar
 # appenders every result document and script envelope is written with,
-# held to encoding/json.
+# held to encoding/json, and the /v1/sweep body's fast decode held to
+# readJSON's encoding/json decode.
 verify-chaos:
 	$(GO) vet -tags faultinject ./...
 	$(GO) test -race -tags faultinject ./...
@@ -106,6 +107,7 @@ verify-chaos:
 	$(GO) test -run FuzzLexDifferential -fuzz FuzzLexDifferential -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzJSONScalars -fuzz FuzzJSONScalars -fuzztime 10s ./internal/report/
+	$(GO) test -run FuzzSweepDecode -fuzz FuzzSweepDecode -fuzztime 10s ./internal/serve/
 
 # Crash-consistency harness: a seeded 200+-operation trace against the
 # MemFS-backed fleet store, power-cycled after every single filesystem
@@ -169,6 +171,13 @@ bench-export:
 # Recorded as BENCH_9.json and BENCH_22.json.
 bench-script:
 	$(BENCHSH) -bench 'Sweep1k$$|Corpus200$$' ./internal/script/
+
+# The /v1/sweep request perfbench's design workload sends (1000
+# candidates, every Table 2 ranking, a 3-axis Pareto frontier) through the
+# whole handler, beside metrics.Rank alone over the same candidate count
+# under all six metrics. Recorded as BENCH_25.json.
+bench-sweep:
+	$(BENCHSH) -bench 'SweepHandler$$|Rank1000$$' ./internal/serve/ ./internal/metrics/
 
 # Cluster acceptance: the 1M-device scatter-gather summary on a 3-member
 # in-process cluster versus the same fleet on one node (setup takes about

@@ -44,8 +44,9 @@ const (
 // sized by the shard count and the distinct BoMs, far below it.
 const maxResponse = 1 << 30
 
-// callResult is one completed peer exchange. Status < 500 — the peer
-// answered deliberately; the caller interprets the code and body.
+// callResult is one completed peer exchange. Status < 500, or a 5xx
+// `degraded` envelope — the peer answered deliberately; the caller
+// interprets the code and body.
 type callResult struct {
 	status int
 	body   []byte
@@ -62,8 +63,8 @@ type peerClient struct {
 
 // call performs one logical RPC: breaker admission, then transient-only
 // retries around the HTTP exchange. Transport failures and 5xx answers
-// are transient (the peer may heal); any status below 500 is a
-// deliberate answer returned to the caller.
+// are transient (the peer may heal); any status below 500, and a
+// `degraded` 503, is a deliberate answer returned to the caller.
 func (p *peerClient) call(ctx context.Context, method, path, rawQuery, contentType string, body []byte, forwarded bool) (*callResult, error) {
 	var done func(bool)
 	if p.brk != nil {
@@ -114,11 +115,24 @@ func (p *peerClient) attempt(ctx context.Context, method, path, rawQuery, conten
 	if err != nil {
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: reading response: %w", p.base, err))
 	}
-	if resp.StatusCode >= 500 {
+	if resp.StatusCode >= 500 && !degraded(b) {
 		return nil, acterr.Transient(fmt.Errorf("cluster: peer %s: %s: %s",
 			p.base, resp.Status, compactBody(b)))
 	}
 	return &callResult{status: resp.StatusCode, body: b, header: resp.Header}, nil
+}
+
+// degraded reports whether a 5xx body is the member's `degraded`
+// envelope: its fleet store is read-only until its own probe heals it,
+// so a retry would only be refused again (and count toward breakers).
+// It is a deliberate answer, relayed like a 4xx.
+func degraded(b []byte) bool {
+	var env struct {
+		Error struct {
+			Code string `json:"code"`
+		} `json:"error"`
+	}
+	return json.Unmarshal(b, &env) == nil && env.Error.Code == "degraded"
 }
 
 // MemberError is a member's deliberate non-2xx answer to a forwarded

@@ -28,6 +28,7 @@ import (
 	"act/internal/report"
 	"act/internal/scenario"
 	"act/internal/serve"
+	"act/internal/vfs"
 )
 
 // swapHandler is a mutable HTTP front: swap the inner handler to
@@ -923,5 +924,52 @@ func TestClusterDeleteRelaysOwnerEnvelope(t *testing.T) {
 			t.Fatalf("coordinator logged no error_code=not_found:\n%s", logs.String())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClusterIngestRelaysOwnerDegraded: an owner whose disk is full
+// answers a write 503 with the `degraded` envelope. That is a deliberate
+// answer, not a transient fault: the coordinator relays it byte for byte
+// instead of retrying it until a breaker opens and it answers
+// `unavailable`.
+func TestClusterIngestRelaysOwnerDegraded(t *testing.T) {
+	tc := newTestCluster(t, 2, nil)
+	owner := tc.nodes[1].srv
+	disk := vfs.NewMemFS()
+	d := serve.FleetDurability{SnapshotPath: "data/fleet.snap", WALDir: "data/wal", FS: disk}
+	if err := owner.OpenFleet(context.Background(), d); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = owner.CloseFleet() })
+	disk.SetDiskCap(disk.Used())
+
+	c0 := tc.nodes[0].srv.Cluster()
+	id := ""
+	for i := 0; id == ""; i++ {
+		if cand := fmt.Sprintf("dev-%05d", i); c0.OwnerOf(cand) == tc.urls[1] {
+			id = cand
+		}
+	}
+	line := bytes.Replace(fleetNDJSON(t, 1, 1), []byte(`"dev-00000"`), []byte(strconv.Quote(id)), 1)
+	ingest := func(base string) (int, []byte) {
+		req, _ := http.NewRequest(http.MethodPost, base+"/v1/fleet/devices", bytes.NewReader(line))
+		req.Header.Set("Content-Type", "application/x-ndjson")
+		req.Header.Set("X-Request-Id", "degraded-relay-0001")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, body
+	}
+	wantStatus, want := ingest(tc.urls[1])
+	var env struct{ Error struct{ Code string } }
+	if err := json.Unmarshal(want, &env); err != nil || wantStatus != http.StatusServiceUnavailable || env.Error.Code != "degraded" {
+		t.Fatalf("owner answered %d %s, want 503 degraded", wantStatus, want)
+	}
+	status, got := ingest(tc.urls[0])
+	if status != wantStatus || !bytes.Equal(got, want) {
+		t.Fatalf("coordinator answered %d %s\nowner answered %d %s", status, got, wantStatus, want)
 	}
 }

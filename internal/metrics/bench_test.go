@@ -52,3 +52,26 @@ func BenchmarkNormalized64(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRank1000 ranks the candidate count perfbench's sweep sends
+// under every Table 2 metric.
+func BenchmarkRank1000(b *testing.B) {
+	cs := make([]Candidate, 1000)
+	for i := range cs {
+		cs[i] = Candidate{
+			Name:     "c",
+			Embodied: units.Grams(float64(i%97 + 1)),
+			Energy:   units.Joules(float64(1000 - i)),
+			Delay:    time.Duration(i%13+1) * time.Millisecond,
+			Area:     units.MM2(float64(i%31 + 1)),
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, m := range All() {
+			if _, err := Rank(m, cs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

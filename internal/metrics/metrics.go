@@ -15,7 +15,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"act/internal/units"
@@ -44,6 +44,22 @@ func (c Candidate) Validate() error {
 		return fmt.Errorf("metrics: candidate %q: negative quantity", c.Name)
 	}
 	return nil
+}
+
+// maxDelaySeconds is the longest delay a Candidate holds: time.Duration's
+// range in seconds.
+const maxDelaySeconds = math.MaxInt64 / 1e9
+
+// DelayFromSeconds converts a delay in seconds to a Candidate's Delay. A
+// delay past time.Duration's range (or NaN) is an error: converting it
+// would be implementation-defined and could wrap around to a negative
+// duration.
+func DelayFromSeconds(s float64) (time.Duration, error) {
+	d := s * float64(time.Second)
+	if !(d >= -0x1p63 && d < 0x1p63) {
+		return 0, fmt.Errorf("metrics: delay %v s is outside time.Duration's range of ±%v s", s, float64(maxDelaySeconds))
+	}
+	return time.Duration(d), nil
 }
 
 // Metric identifies an optimization metric from Table 2.
@@ -120,19 +136,35 @@ type Scored struct {
 
 // Rank evaluates all candidates under a metric and returns them sorted
 // best (lowest) first. Ties preserve input order.
+//
+// Each value is computed once; the sort then moves int32 indices, not
+// Scored structs. slices.SortStableFunc runs the same insertion-block and
+// symMerge algorithm as sort.SliceStable and asks only whether cmp < 0,
+// so with a comparator that answers -1 exactly when a < b the order is
+// the one a stable sort by < gives, NaN and ±Inf values included.
 func Rank(m Metric, cs []Candidate) ([]Scored, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("metrics: no candidates")
 	}
-	out := make([]Scored, len(cs))
+	vals := make([]float64, len(cs))
+	idx := make([]int32, len(cs))
 	for i, c := range cs {
 		v, err := Eval(m, c)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = Scored{Candidate: c, Value: v}
+		vals[i], idx[i] = v, int32(i)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Value < out[j].Value })
+	slices.SortStableFunc(idx, func(a, b int32) int {
+		if vals[a] < vals[b] {
+			return -1
+		}
+		return 0
+	})
+	out := make([]Scored, len(cs))
+	for i, j := range idx {
+		out[i] = Scored{Candidate: cs[j], Value: vals[j]}
+	}
 	return out, nil
 }
 

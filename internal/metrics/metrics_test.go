@@ -216,3 +216,17 @@ func TestQuickBestIsMinimum(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestDelayFromSeconds(t *testing.T) {
+	for _, s := range []float64{1e-9, 1, 9.2e9, -1} {
+		d, err := DelayFromSeconds(s)
+		if err != nil || d != time.Duration(s*float64(time.Second)) {
+			t.Errorf("DelayFromSeconds(%v) = %v, %v", s, d, err)
+		}
+	}
+	for _, s := range []float64{1e300, float64(maxDelaySeconds), -1e300, math.Inf(1), math.NaN()} {
+		if d, err := DelayFromSeconds(s); err == nil {
+			t.Errorf("DelayFromSeconds(%v) = %v, want an error", s, d)
+		}
+	}
+}

@@ -34,7 +34,9 @@ import (
 // Its methods decode one value each; a value outside the fast subset
 // makes the decoder decline, after which every method is a no-op that
 // returns a zero value. Callers decode the whole text, then check End
-// once and fall back to encoding/json when it is false.
+// once and fall back to encoding/json when it is false. Object, Array,
+// String, Float and Int are exported so other wire documents (a fleet
+// device line, a /v1/sweep body) decode through the same cursor.
 type FastDecoder struct {
 	data []byte
 	pos  int
@@ -149,9 +151,9 @@ func (d *FastDecoder) key(keys []string) int {
 	return -1
 }
 
-// array decodes one array, calling elem once per element with the decoder
+// Array decodes one array, calling elem once per element with the decoder
 // positioned at it; elem must decode the element.
-func (d *FastDecoder) array(elem func()) {
+func (d *FastDecoder) Array(elem func()) {
 	if !d.expect('[') {
 		return
 	}
@@ -355,8 +357,8 @@ func (d *FastDecoder) Float() float64 {
 	return f
 }
 
-// integer decodes one number as encoding/json does for an int field.
-func (d *FastDecoder) integer() int {
+// Int decodes one number as encoding/json does for an int field.
+func (d *FastDecoder) Int() int {
 	num := d.number()
 	if !d.ok {
 		return 0
@@ -399,7 +401,7 @@ func (d *FastDecoder) spec(s *Spec) {
 	d.Object(specKeys, func(key string) {
 		switch key {
 		case "version":
-			s.Version = d.integer()
+			s.Version = d.Int()
 		case "name":
 			s.Name = d.String()
 		case "logic":
@@ -409,7 +411,7 @@ func (d *FastDecoder) spec(s *Spec) {
 		case "storage":
 			s.Storage = slice(d, func(p *StorageSpec) { d.part(&p.Name, &p.Technology, &p.CapacityGB) })
 		case "extra_ics":
-			s.ExtraICs = d.integer()
+			s.ExtraICs = d.Int()
 		case "usage":
 			d.usage(&s.Usage)
 		case "transport":
@@ -435,7 +437,7 @@ func (d *FastDecoder) spec(s *Spec) {
 // non-nil slice, as encoding/json leaves it.
 func slice[T any](d *FastDecoder, elem func(*T)) []T {
 	items := []T{}
-	d.array(func() {
+	d.Array(func() {
 		items = append(items, *new(T))
 		elem(&items[len(items)-1])
 	})
@@ -452,7 +454,7 @@ func (d *FastDecoder) logic(l *LogicSpec) {
 		case "node":
 			l.Node = d.String()
 		case "count":
-			l.Count = d.integer()
+			l.Count = d.Int()
 		case "fab":
 			f := new(FabSpec)
 			d.Object(fabKeys, func(key string) {
@@ -521,7 +523,7 @@ func (d *FastDecoder) transport(t *TransportSpec) {
 func fastBatch(data []byte) ([]*Spec, bool) {
 	d := NewFastDecoder(data)
 	var specs []*Spec
-	d.array(func() {
+	d.Array(func() {
 		s := new(Spec)
 		d.spec(s)
 		specs = append(specs, s)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"act/internal/acterr"
 	"act/internal/colbatch"
@@ -474,7 +473,9 @@ func hostRank(in *interp, pos Pos, args []Value) (Value, error) {
 		}
 		c.Embodied = units.Grams(eg)
 		c.Energy = units.Joules(ej)
-		c.Delay = time.Duration(ds * float64(time.Second))
+		if c.Delay, err = metrics.DelayFromSeconds(ds); err != nil {
+			return nil, errAt(pos, "rank candidate [%d]: %v", i, err)
+		}
 		c.Area = units.MM2(am)
 		if err := c.Validate(); err != nil {
 			return nil, errAt(pos, "rank candidate [%d]: %v", i, err)

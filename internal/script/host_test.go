@@ -230,6 +230,8 @@ func TestRankErrors(t *testing.T) {
 		{`rank("CDP", [])`, "no candidates"},
 		{`rank("CDP", [{"delay_s": 1}])`, `needs a "name"`},
 		{`rank("CDP", [{"name": "a"}])`, "non-positive delay"},
+		{`rank("CDP", [{"name": "a", "delay_s": 1}, {"name": "b", "delay_s": 1e300}])`,
+			"rank candidate [1]: metrics: delay 1e+300 s is outside time.Duration's range of ±9.223372036854776e+09 s"},
 		{`rank("CDP", [{"name": "a", "delay_s": 1, "embodied_g": "x"}])`, "need a number"},
 		{`rank(5, [])`, "needs a string"},
 	}

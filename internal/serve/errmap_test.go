@@ -243,6 +243,12 @@ func TestErrorContractAllRoutes(t *testing.T) {
 			"invalid spec field pareto: a Pareto frontier needs at least two objectives, got 1"},
 		{"sweep-unknown-axis", "main", "POST", "/v1/sweep", `{"candidates":[` + cand + `],"pareto":["energy","beauty"]}`, http.StatusBadRequest, codeInvalidArgument, "pareto[1]",
 			`invalid spec field pareto[1]: unknown objective "beauty" (want embodied, energy, delay or area)`},
+		{"sweep-non-finite-value", "main", "POST", "/v1/sweep", `{"candidates":[{"name":"a","embodied_g":1e300,"energy_j":1e300,"delay_s":1},{"name":"b","embodied_g":1,"energy_j":1,"delay_s":1}],"rank":["CEP"]}`,
+			http.StatusBadRequest, codeInvalidArgument, "candidates[0]",
+			"invalid spec field candidates[0]: CEP value +Inf is not a finite number"},
+		{"sweep-delay-out-of-range", "main", "POST", "/v1/sweep", `{"candidates":[` + cand + `,{"name":"b","embodied_g":1,"energy_j":1,"delay_s":1e300}],"rank":["CDP"]}`,
+			http.StatusBadRequest, codeInvalidArgument, "candidates[1].delay_s",
+			"invalid spec field candidates[1].delay_s: metrics: delay 1e+300 s is outside time.Duration's range of ±9.223372036854776e+09 s"},
 		{"cluster-partial-off", "main", "GET", "/v1/cluster/partial", "", http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
 		{"cluster-snapshot-off", "main", "GET", "/v1/cluster/snapshot", "", http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},
 		{"cluster-prepare-off", "main", "POST", "/v1/cluster/recompute/prepare", `{"epoch":1}`, http.StatusNotFound, codeNotFound, "", "cluster mode is not enabled"},

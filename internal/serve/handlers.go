@@ -68,12 +68,27 @@ func (s *Server) body(w http.ResponseWriter, r *http.Request) io.Reader {
 
 // readJSON reads the bounded body whole and decodes one JSON document
 // into v, rejecting unknown fields. what names the document in a parse
-// error ("sweep request").
+// error ("script request").
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return err
+	}
+	return decodeJSON(body, what, v)
+}
+
+// readBody reads the bounded body whole.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	body, err := io.ReadAll(s.body(w, r))
 	if err != nil {
-		return badRequest(fmt.Errorf("reading request body: %w", err))
+		return nil, badRequest(fmt.Errorf("reading request body: %w", err))
 	}
+	return body, nil
+}
+
+// decodeJSON is readJSON's decode: encoding/json, unknown fields
+// rejected. It is the oracle a route's fast decoder falls back to.
+func decodeJSON(body []byte, what string, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
-	"time"
 
 	"act/internal/acterr"
 	"act/internal/dse"
@@ -59,12 +59,69 @@ var builtinObjectives = map[string]dse.Objective{
 	"area":     dse.Area,
 }
 
+var (
+	sweepKeys     = []string{"version", "candidates", "rank", "pareto"}
+	candidateKeys = []string{"name", "embodied_g", "energy_j", "delay_s", "area_mm2"}
+)
+
+// fastSweep decodes a sweep body in one pass through the scenario
+// package's fast decoder; each case mirrors a json tag above. ok is false
+// when the body left the decoder's subset (see scenario/fastwire.go):
+// readJSON's encoding/json decode is then the answer, errors included.
+func fastSweep(body []byte) (req sweepRequest, ok bool) {
+	d := scenario.NewFastDecoder(body)
+	strs := func() []string {
+		out := []string{}
+		d.Array(func() { out = append(out, d.String()) })
+		return out
+	}
+	d.Object(sweepKeys, func(key string) {
+		switch key {
+		case "version":
+			req.Version = d.Int()
+		case "candidates":
+			req.Candidates = []sweepCandidate{}
+			d.Array(func() {
+				var c sweepCandidate
+				d.Object(candidateKeys, func(key string) {
+					switch key {
+					case "name":
+						c.Name = d.String()
+					case "embodied_g":
+						c.EmbodiedG = d.Float()
+					case "energy_j":
+						c.EnergyJ = d.Float()
+					case "delay_s":
+						c.DelayS = d.Float()
+					case "area_mm2":
+						c.AreaMM2 = d.Float()
+					}
+				})
+				req.Candidates = append(req.Candidates, c)
+			})
+		case "rank":
+			req.Rank = strs()
+		case "pareto":
+			req.Pareto = strs()
+		}
+	})
+	return req, d.End()
+}
+
 // handleSweep ranks candidate design points under the requested Table 2
-// metrics and/or reduces them to a Pareto frontier.
+// metrics and/or reduces them to a Pareto frontier. The body goes through
+// fastSweep first and, when that declines, through readJSON's decode.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	var req sweepRequest
-	if err := s.readJSON(w, r, "sweep request", &req); err != nil {
+	body, err := s.readBody(w, r)
+	if err != nil {
 		return err
+	}
+	req, ok := fastSweep(body)
+	if !ok {
+		req = sweepRequest{}
+		if err := decodeJSON(body, "sweep request", &req); err != nil {
+			return err
+		}
 	}
 	if req.Version != 0 && req.Version != scenario.Version {
 		return &acterr.UnsupportedVersionError{Version: req.Version}
@@ -82,11 +139,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			Name:     c.Name,
 			Embodied: units.Grams(c.EmbodiedG),
 			Energy:   units.Joules(c.EnergyJ),
-			Delay:    time.Duration(c.DelayS * float64(time.Second)),
 			Area:     units.MM2(c.AreaMM2),
 		}
 		if cands[i].Name == "" {
 			return acterr.Invalid(fmt.Sprintf("candidates[%d].name", i), "name is required")
+		}
+		if cands[i].Delay, err = metrics.DelayFromSeconds(c.DelayS); err != nil {
+			return acterr.Invalid(fmt.Sprintf("candidates[%d].delay_s", i), "%v", err)
 		}
 		if err := cands[i].Validate(); err != nil {
 			return acterr.Prefix(fmt.Sprintf("candidates[%d]", i), err)
@@ -102,8 +161,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			return acterr.Invalid("rank", "%v", err)
 		}
 		sr := sweepRanking{Metric: string(m), Ranked: make([]sweepScore, len(ranked))}
+		finite := true
 		for i, sc := range ranked {
 			sr.Ranked[i] = sweepScore{Name: sc.Candidate.Name, Value: sc.Value}
+			finite = finite && !math.IsInf(sc.Value, 0) && !math.IsNaN(sc.Value)
+		}
+		if !finite {
+			return nonFinite(m, cands)
 		}
 		resp.Rankings = append(resp.Rankings, sr)
 	}
@@ -137,6 +201,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	}
 
 	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+// nonFinite is the 400 for a ranking holding a NaN or ±Inf value, which
+// JSON cannot carry: it names the first such candidate in input order.
+func nonFinite(m metrics.Metric, cands []metrics.Candidate) error {
+	for i, c := range cands {
+		if v, _ := metrics.Eval(m, c); math.IsInf(v, 0) || math.IsNaN(v) {
+			return acterr.Invalid(fmt.Sprintf("candidates[%d]", i),
+				"%s value %v is not a finite number", m, v)
+		}
+	}
 	return nil
 }
 
