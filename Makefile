@@ -90,8 +90,12 @@ cover:
 # without panics or hangs), the script lexer held to its pre-tuning
 # oracle (tokens, positions and error texts), the JSON scalar
 # appenders every result document and script envelope is written with,
-# held to encoding/json, and the /v1/sweep body's fast decode held to
-# readJSON's encoding/json decode.
+# held to encoding/json, the /v1/sweep body's fast decode held to
+# readJSON's encoding/json decode, and the fleet ingest framer held to
+# encoding/json's stream decoder (record bytes and offsets, applied count
+# and error text). Each of that fuzzer's runs ingests through fresh
+# registries, so a new input's minimization is capped at 100 runs to
+# leave its budget for search.
 verify-chaos:
 	$(GO) vet -tags faultinject ./...
 	$(GO) test -race -tags faultinject ./...
@@ -102,6 +106,7 @@ verify-chaos:
 	$(GO) test -run FuzzCanonicalKey -fuzz FuzzCanonicalKey -fuzztime 10s ./internal/scenario/
 	$(GO) test -run FuzzParseRequestBatch -fuzz FuzzParseRequestBatch -fuzztime 10s ./internal/scenario/
 	$(GO) test -run FuzzParseDevice -fuzz FuzzParseDevice -fuzztime 10s ./internal/fleet/
+	$(GO) test -run FuzzNDJSONFrame -fuzz FuzzNDJSONFrame -fuzztime 10s -fuzzminimizetime 100x ./internal/fleet/
 	$(GO) test -run FuzzFleetTopK -fuzz FuzzFleetTopK -fuzztime 10s ./internal/fleet/
 	$(GO) test -run FuzzScriptParse -fuzz FuzzScriptParse -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzLexDifferential -fuzz FuzzLexDifferential -fuzztime 10s ./internal/script/
@@ -140,11 +145,13 @@ bench-cache:
 # summary, grouped summary and top-K costs beside per-device ingest, and
 # ingest time and heap per device for shared, unique and respelled BoMs
 # (BenchmarkFleetIngestBoMs), plus a full reprice (FleetRecompute, seconds
-# per op). It asserts nothing: the <10ms summary bound is read from its
-# output. The summary's zero allocations are asserted in tier-1 by
-# TestSummaryZeroAllocs.
+# per op), and the replace body perfbench's fleet workload sends through
+# the whole ingest handler (BenchmarkFleetIngestHandler, per body). It
+# asserts nothing: the <10ms summary bound is read from its output. The
+# summary's zero allocations are asserted in tier-1 by
+# TestSummaryZeroAllocs. Recorded as BENCH_26.json (ingest).
 bench-fleet:
-	$(BENCHSH) -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK|Recompute)' ./internal/fleet/
+	$(BENCHSH) -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK|Recompute)' ./internal/fleet/ ./internal/serve/
 
 # The columnar engine: BenchmarkColBatchEvalCorpus times the traffic
 # perfbench sends (distinct 256-scenario corpus batches); EvalSweep and

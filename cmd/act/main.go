@@ -11,7 +11,7 @@
 //	act fleet -file fleet.ndjson [-top K] [-by region|node|class]
 //	act export -file fleet.ndjson [-at RFC3339]  # one telemetry snapshot, line protocol
 //	act conform [-seed S] [-n N]  # cross-surface conformance harness
-//	act script -file prog.act [-max-steps N] [-max-bytes N] [-timeout 5s]
+//	act script [-max-steps N] [-max-bytes N] [-timeout 5s] prog.act  # or -file prog.act, or stdin
 //
 // The json format emits the same result document actd serves from
 // POST /v1/footprint, byte for byte, so pipelines can swap between the CLI

@@ -8,6 +8,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 
@@ -17,13 +18,21 @@ import (
 func runScript(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("script", flag.ContinueOnError)
 	var (
-		path     = fs.String("file", "", "path to a program (default: stdin)")
+		path     = fs.String("file", "", "path to a program (default: the one argument, else stdin)")
 		maxSteps = fs.Int64("max-steps", 0, "evaluator step budget (0 = default 5000000, negative disables)")
 		maxBytes = fs.Int64("max-bytes", 0, "allocation estimate budget in bytes (0 = default 16 MiB, negative disables)")
 		timeout  = fs.Duration("timeout", 0, "wall-clock budget (0 = default 5s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	switch {
+	case fs.NArg() > 1:
+		return fmt.Errorf("script: want one program path, got %d arguments: %q", fs.NArg(), fs.Args())
+	case fs.NArg() == 1 && *path != "":
+		return fmt.Errorf("script: program %q given twice, as -file %q and as an argument", fs.Arg(0), *path)
+	case fs.NArg() == 1:
+		*path = fs.Arg(0)
 	}
 
 	in := stdin

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -89,5 +91,45 @@ func TestScriptBudgetFlags(t *testing.T) {
 		strings.NewReader("let n = 0\nfor i in range(100000) { n = n + 1 }\n"), io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "steps") {
 		t.Fatalf("err = %v, want step-budget error", err)
+	}
+}
+
+// TestScriptProgramArgument: the one argument is the program path, the
+// same program -file and stdin run; an argument beside -file, or a
+// second argument, is refused before anything runs.
+func TestScriptProgramArgument(t *testing.T) {
+	src := "let x = 6 * 7\nemit(\"x\", x)\nx\n"
+	prog := filepath.Join(t.TempDir(), "prog.act")
+	if err := os.WriteFile(prog, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := runScript(nil, strings.NewReader(src), &want); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want.String(), "42") {
+		t.Fatalf("stdin run answered %s", want.String())
+	}
+	for _, args := range [][]string{{prog}, {"-file", prog}, {"-max-steps", "1000", prog}} {
+		var got bytes.Buffer
+		if err := runScript(args, strings.NewReader(""), &got); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%q answered %s, want %s", args, got.Bytes(), want.Bytes())
+		}
+	}
+	for want, args := range map[string][]string{
+		`script: program "` + prog + `" given twice, as -file "` + prog + `" and as an argument`: {"-file", prog, prog},
+		`script: want one program path, got 2 arguments: ["` + prog + `" "other.act"]`:           {prog, "other.act"},
+	} {
+		var out bytes.Buffer
+		err := runScript(args, strings.NewReader(src), &out)
+		if err == nil || err.Error() != want {
+			t.Fatalf("%q: err = %v, want %s", args, err, want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%q wrote %s before refusing", args, out.Bytes())
+		}
 	}
 }

@@ -132,10 +132,7 @@ func decodeRecord(d *reader, boms *bomTable) (*record, error) {
 	rec.deployed = time.Unix(0, deployed).UTC()
 	rec.retired = time.Unix(0, retired).UTC()
 	id := bomID(sha256.Sum256(specJSON))
-	boms.mu.Lock()
-	rec.bom = boms.entries[id]
-	boms.mu.Unlock()
-	if rec.bom != nil {
+	if rec.bom = boms.entry(id); rec.bom != nil {
 		return rec, nil
 	}
 	spec, err := scenario.Unmarshal(specJSON)

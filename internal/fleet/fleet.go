@@ -444,6 +444,13 @@ type bomKey struct {
 	entries   int
 }
 
+// entry returns the entry for id, or nil when there is none.
+func (t *bomTable) entry(id bomID) *bom {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries[id]
+}
+
 // find returns the entry for id and its embodied grams. On a miss it
 // builds an unregistered entry from spec (and specJSON, its Marshal form,
 // when the caller has it) outside the lock: a known key lends it its

@@ -35,8 +35,8 @@ import (
 // makes the decoder decline, after which every method is a no-op that
 // returns a zero value. Callers decode the whole text, then check End
 // once and fall back to encoding/json when it is false. Object, Array,
-// String, Float and Int are exported so other wire documents (a fleet
-// device line, a /v1/sweep body) decode through the same cursor.
+// String, Float, Int and Skip are exported so other wire documents (a
+// fleet device line, a /v1/sweep body) decode through the same cursor.
 type FastDecoder struct {
 	data []byte
 	pos  int
@@ -283,6 +283,51 @@ func hex4(data []byte, i int) rune {
 		r = r<<4 | rune(c)
 	}
 	return r
+}
+
+// maxSkipDepth bounds the nesting Skip follows. A wire scenario nests
+// three deep; anything deeper is left to encoding/json and its own bound.
+const maxSkipDepth = 32
+
+// Skip passes over one object, array, string or number, checking it as
+// the decoding methods check what they decode (strings in valid UTF-8
+// without control bytes, numbers in JSON's grammar) but taking any key,
+// repeated or not. true, false, null and nesting past maxSkipDepth
+// decline.
+func (d *FastDecoder) Skip() { d.skip(0) }
+
+func (d *FastDecoder) skip(depth int) {
+	d.skipSpace()
+	if !d.ok || d.pos >= len(d.data) || depth > maxSkipDepth {
+		d.decline()
+		return
+	}
+	switch d.data[d.pos] {
+	case '{':
+		d.pos++
+		d.skipSpace()
+		if d.pos < len(d.data) && d.data[d.pos] == '}' {
+			d.pos++
+			return
+		}
+		for d.ok {
+			d.skipSpace()
+			d.str()
+			if !d.expect(':') {
+				return
+			}
+			d.skip(depth + 1)
+			if !d.next(',', '}') {
+				return
+			}
+		}
+	case '[':
+		d.Array(func() { d.skip(depth + 1) })
+	case '"':
+		d.str()
+	default:
+		d.number()
+	}
 }
 
 // String decodes one string value.

@@ -267,3 +267,29 @@ func TestFastBatchMatchesElementwise(t *testing.T) {
 	}
 	checkFastBatch(t, bad)
 }
+
+// TestSkip: Skip takes any well-formed object, array, string or number,
+// keys unknown or repeated included, and declines literals, malformed
+// values and nesting past maxSkipDepth. Whatever it takes is valid JSON.
+func TestSkip(t *testing.T) {
+	deep := func(n int) string { return strings.Repeat("[", n) + strings.Repeat("]", n) }
+	for in, want := range map[string]bool{
+		`{}`: true, `[]`: true, `""`: true, `-1.5e+3`: true, `0`: true,
+		`{"any":1,"any":[2,{"x":"y"}],"z":{}}`: true,
+		` { "a" : [ 1 , "b\"\\é😀" ] } `:        true,
+		deep(maxSkipDepth + 1):                 true,
+		deep(maxSkipDepth + 2):                 false,
+		`null`:                                 false, `true`: false, `false`: false, `{"a":null}`: false,
+		`{"a":1,}`: false, `[1,]`: false, `{"a" 1}`: false, `{1:2}`: false,
+		`01`: false, `1.`: false, `"a` + "\x01" + `"`: false, "\"\xff\"": false,
+		`{"a":1}}`: false, `[1 2]`: false, ``: false, `{`: false,
+	} {
+		d := NewFastDecoder([]byte(in))
+		d.Skip()
+		if got := d.End(); got != want {
+			t.Errorf("Skip(%q) took it: %v, want %v", in, got, want)
+		} else if got && !json.Valid([]byte(in)) {
+			t.Errorf("Skip took %q, which is not JSON", in)
+		}
+	}
+}
