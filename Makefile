@@ -20,25 +20,26 @@ test:
 # benchmark replays fails here, not in the benchmark run. gofmt -l lists
 # every file whose layout drifts from gofmt's; any listing fails. sh -n
 # parses every script, so a syntax slip fails here, not in a bench run.
+# The coverage floors run last, so a package that falls below its floor
+# fails the commit that drops it.
 verify: build
 	@drift="$$($(GOFMT) -l .)"; if [ -n "$$drift" ]; then echo "gofmt drift:"; echo "$$drift"; exit 1; fi
 	@for f in scripts/*.sh; do sh -n "$$f" || exit 1; done
 	$(GO) vet ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) test ./...
+	$(MAKE) cover
 
 # Extended verification: race detector across the concurrent paths
 # (sweep pool, footprint cache, graceful drain), the telemetry exporter
 # hammered twice (scheduler, failover, backpressure drops), then the
-# full-size cross-surface conformance run and the model-layer coverage
-# floor.
+# full-size cross-surface conformance, cluster and crash runs.
 verify-extended: verify
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/export/
 	$(MAKE) verify-conform
 	$(MAKE) verify-cluster
 	$(MAKE) verify-crash
-	$(MAKE) cover
 
 # Cross-surface conformance at acceptance size: a 1000-scenario seeded
 # corpus (plus committed repros) evaluated through every surface —

@@ -7,14 +7,10 @@ package act_test
 
 import (
 	"testing"
-	"time"
 
-	"act/internal/chiplet"
 	"act/internal/fab"
-	"act/internal/grid"
 	"act/internal/intensity"
 	"act/internal/units"
-	"act/internal/wafer"
 )
 
 // BenchmarkAblationYieldModel contrasts the paper's fixed 0.875 yield with
@@ -105,78 +101,6 @@ func BenchmarkAblationFabIntensity(b *testing.B) {
 			}
 			if i == 0 {
 				b.ReportMetric(cpa.GramsPerCM2(), s.name+"-cpa")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationWaferVsFlat compares Eq. 4's per-area accounting with
-// the wafer-level model across die sizes.
-func BenchmarkAblationWaferVsFlat(b *testing.B) {
-	w := wafer.Default300()
-	f, err := fab.New(fab.Node7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dies := map[string]units.Area{"50mm2": units.MM2(50), "400mm2": units.MM2(400), "800mm2": units.MM2(800)}
-	for i := 0; i < b.N; i++ {
-		for name, die := range dies {
-			overhead, err := w.PackingOverhead(f, die)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(overhead, "overhead-x-"+name)
-			}
-		}
-	}
-}
-
-// BenchmarkAblationChipletSplit sweeps the chiplet count for a 700 mm²
-// design under defect-driven yield.
-func BenchmarkAblationChipletSplit(b *testing.B) {
-	p := chiplet.DefaultParams()
-	f, err := fab.New(fab.Node7, fab.WithYield(fab.MurphyYield{D0: 0.2}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		sweep, err := chiplet.Sweep(p, f, units.MM2(700), 8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, s := range sweep {
-				if s.Chiplets == 1 || s.Chiplets == 4 || s.Chiplets == 8 {
-					b.ReportMetric(s.Total().Kilograms(), "kg-at-n"+itoa(s.Chiplets))
-				}
-			}
-		}
-	}
-}
-
-func itoa(n int) string {
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return string(rune('0'+n/10)) + string(rune('0'+n%10))
-}
-
-// BenchmarkAblationSchedulingWindow sweeps the scheduling flexibility of a
-// deferrable job on the dispatch-simulated grid.
-func BenchmarkAblationSchedulingWindow(b *testing.B) {
-	tr, err := grid.NewTrace(grid.Default(), grid.DiurnalDemand(9000, 2000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, hours := range []int{2, 8} {
-			s, err := grid.Savings(tr, units.KilowattHours(100), hours, 24*time.Hour)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i == 0 {
-				b.ReportMetric(s, "savings-x-"+itoa(hours)+"h")
 			}
 		}
 	}

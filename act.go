@@ -30,7 +30,6 @@
 package act
 
 import (
-	"context"
 	"time"
 
 	"act/internal/acterr"
@@ -41,7 +40,6 @@ import (
 	"act/internal/memdb"
 	"act/internal/metrics"
 	"act/internal/storagedb"
-	"act/internal/uncertain"
 	"act/internal/units"
 )
 
@@ -303,22 +301,3 @@ var (
 	ObjectiveDelay    = dse.Delay
 	ObjectiveArea     = dse.Area
 )
-
-// Uncertainty analysis types (Section 5 fab-parameter uncertainty).
-type (
-	// Dist is a sampleable parameter distribution.
-	Dist = uncertain.Dist
-	// UncertaintySummary holds Monte-Carlo sample statistics.
-	UncertaintySummary = uncertain.Summary
-	// Uniform is a uniform distribution on [Lo, Hi].
-	Uniform = uncertain.Uniform
-	// Triangular is a triangular distribution on [Lo, Hi] with a Mode.
-	Triangular = uncertain.Triangular
-)
-
-// MonteCarloParallel runs n draws of model across a bounded worker pool
-// with a deterministic per-sample RNG, so results are reproducible for a
-// given seed regardless of worker count.
-func MonteCarloParallel(ctx context.Context, workers, n int, seed uint64, model func(draw func(Dist) float64) (float64, error)) (UncertaintySummary, error) {
-	return uncertain.MonteCarloParallel(ctx, workers, n, seed, model)
-}

@@ -224,16 +224,3 @@ func BenchmarkKernelFaceDetect(b *testing.B)    { benchKernel(b, "face-detection
 func BenchmarkKernelSpeechRecog(b *testing.B)   { benchKernel(b, "speech-recognition") }
 func BenchmarkKernelAIClassify(b *testing.B)    { benchKernel(b, "ai-image-classification") }
 func BenchmarkKernelFIR(b *testing.B)           { benchKernel(b, "fir-filter") }
-
-// Extension-artifact benchmarks (ext1-ext10), regenerating the Figure 1
-// levers the paper names but does not evaluate.
-func BenchmarkExt1Wafer(b *testing.B)       { benchExperiment(b, "ext1") }
-func BenchmarkExt2Chiplet(b *testing.B)     { benchExperiment(b, "ext2") }
-func BenchmarkExt3DVFS(b *testing.B)        { benchExperiment(b, "ext3") }
-func BenchmarkExt4Scheduling(b *testing.B)  { benchExperiment(b, "ext4") }
-func BenchmarkExt5Fleet(b *testing.B)       { benchExperiment(b, "ext5") }
-func BenchmarkExt6DutyCycle(b *testing.B)   { benchExperiment(b, "ext6") }
-func BenchmarkExt7Gases(b *testing.B)       { benchExperiment(b, "ext7") }
-func BenchmarkExt8Uncertainty(b *testing.B) { benchExperiment(b, "ext8") }
-func BenchmarkExt9Battery(b *testing.B)     { benchExperiment(b, "ext9") }
-func BenchmarkExt10Pledge(b *testing.B)     { benchExperiment(b, "ext10") }

@@ -8,9 +8,6 @@
 //	actsweep ssd [-mission-years 2]
 //	actsweep lifetime [-horizon 10] [-gain 1.21]
 //	actsweep soc
-//	actsweep chiplet [-area-mm2 700] [-d0 0.2]
-//	actsweep dvfs [-ci 300] [-embodied-kg 17]
-//	actsweep fleet [-base-rps 5000] [-pue 1.3]
 package main
 
 import (
@@ -39,7 +36,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: actsweep <accel|ssd|lifetime|soc|chiplet|dvfs|fleet> [flags]")
+		return fmt.Errorf("usage: actsweep <accel|ssd|lifetime|soc> [flags]")
 	}
 	switch args[0] {
 	case "accel":
@@ -50,14 +47,8 @@ func run(args []string, out io.Writer) error {
 		return runLifetime(args[1:], out)
 	case "soc":
 		return runSoC(out)
-	case "chiplet":
-		return runChiplet(args[1:], out)
-	case "dvfs":
-		return runDVFS(args[1:], out)
-	case "fleet":
-		return runFleet(args[1:], out)
 	}
-	return fmt.Errorf("unknown sweep %q (want accel, ssd, lifetime, soc, chiplet, dvfs or fleet)", args[0])
+	return fmt.Errorf("unknown sweep %q (want accel, ssd, lifetime or soc)", args[0])
 }
 
 func printTable(out io.Writer, t *report.Table) error {

@@ -73,33 +73,3 @@ func TestRunErrors(t *testing.T) {
 		t.Error("bad flag: expected error")
 	}
 }
-
-func TestRunChiplet(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"chiplet", "-area-mm2", "700"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "optimal split:") {
-		t.Errorf("chiplet output missing optimum:\n%s", out.String())
-	}
-}
-
-func TestRunDVFS(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"dvfs", "-ci", "41"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "carbon-optimal") {
-		t.Errorf("dvfs output missing optimum:\n%s", out.String())
-	}
-}
-
-func TestRunFleet(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"fleet"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "optimal fleet: 8 servers") {
-		t.Errorf("fleet output missing optimum:\n%s", out.String())
-	}
-}

@@ -73,26 +73,6 @@ func TestFacadeDSE(t *testing.T) {
 	}
 }
 
-func TestFacadeMonteCarloParallel(t *testing.T) {
-	model := func(draw func(act.Dist) float64) (float64, error) {
-		return draw(act.Uniform{Lo: 1, Hi: 3}), nil
-	}
-	a, err := act.MonteCarloParallel(context.Background(), 4, 2000, 42, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := act.MonteCarloParallel(context.Background(), 1, 2000, 42, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Mean != b.Mean {
-		t.Errorf("mean depends on worker count: %v vs %v", a.Mean, b.Mean)
-	}
-	if a.Mean < 1.8 || a.Mean > 2.2 {
-		t.Errorf("mean = %v, want ≈2 for Uniform(1,3)", a.Mean)
-	}
-}
-
 // TestFacadeResilienceExports drives the cancellable frontier through the
 // public API alone: a live context reduces, a done one stops the scan.
 func TestFacadeResilienceExports(t *testing.T) {

@@ -14,9 +14,7 @@ import (
 	"act"
 	"act/internal/dse"
 	"act/internal/experiments"
-	"act/internal/intensity"
 	"act/internal/soc"
-	"act/internal/usage"
 )
 
 // TestEndToEndPhoneStory walks the paper's core narrative through the
@@ -53,12 +51,9 @@ func TestEndToEndPhoneStory(t *testing.T) {
 	}
 	phone.AddLogic(socDie).AddLogic(board).AddDRAM(ram).AddStorage(flash)
 
-	// Realistic duty cycle over a 3-year life on the US grid.
-	profile := usage.Mobile()
-	u, err := profile.Usage(act.YearsDuration(3), intensity.USGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Realistic duty cycle over a 3-year life on the US grid: 3 h a day
+	// at 3 W and the other 21 h idle at 30 mW, an average of 401.25 mW.
+	u := act.UsageFromPower(act.Milliwatts(401.25), act.YearsDuration(3), act.USGrid)
 	a, err := act.LifetimeFootprint(phone, u, act.YearsDuration(3))
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +128,6 @@ func TestExamplesRun(t *testing.T) {
 		{"accelerator-dse", "Jevons paradox"},
 		{"ssd-second-life", "second-life optimum: 34%"},
 		{"datacenter-server", "Dell R740"},
-		{"sustainability-levers", "DVFS"},
 	}
 	for _, ex := range examples {
 		ex := ex

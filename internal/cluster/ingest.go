@@ -32,6 +32,13 @@ import (
 	"act/internal/fleet"
 )
 
+// ingestRecord is one framed record and the id the framer skimmed from
+// it, "" when it skimmed none.
+type ingestRecord struct {
+	raw []byte
+	id  string
+}
+
 // ingestBatch is the routed sub-stream headed for one member.
 type ingestBatch struct {
 	owner   string
@@ -43,15 +50,15 @@ type ingestBatch struct {
 // per-member results. maxDevices bounds the whole stream, like the
 // registry's own limit.
 func (c *Cluster) Ingest(ctx context.Context, rd io.Reader, maxDevices int) (fleet.IngestResult, error) {
-	var raws [][]byte
-	streamErr := fleet.ReadNDJSON(rd, maxDevices, func(_ int, raw json.RawMessage) error {
-		raws = append(raws, raw)
+	var recs []ingestRecord
+	streamErr := fleet.ReadNDJSON(rd, maxDevices, func(_ int, raw json.RawMessage, id string) error {
+		recs = append(recs, ingestRecord{raw, id})
 		return nil
 	})
 
 	// Everything decoded before a stream fault still applies — the same
 	// "applied records stay applied" contract the registry keeps.
-	res, flushErr := c.flush(ctx, raws)
+	res, flushErr := c.flush(ctx, recs)
 	if streamErr != nil {
 		return res, streamErr
 	}
@@ -60,31 +67,22 @@ func (c *Cluster) Ingest(ctx context.Context, rd io.Reader, maxDevices int) (fle
 
 // flush routes the decoded records and dispatches every member's batch
 // in parallel.
-func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult, error) {
+func (c *Cluster) flush(ctx context.Context, recs []ingestRecord) (fleet.IngestResult, error) {
 	var res fleet.IngestResult
-	if len(raws) == 0 {
+	if len(recs) == 0 {
 		return res, nil
 	}
-	// Route by id. A record whose id cannot even be peeked routes locally:
-	// it fails validation wherever it lands, and the local registry
-	// produces the canonical typed error for it.
 	var batches []*ingestBatch
 	byOwner := map[string]*ingestBatch{}
-	for i, raw := range raws {
-		var peek struct {
-			ID string `json:"id"`
-		}
-		owner := c.self
-		if err := json.Unmarshal(raw, &peek); err == nil && peek.ID != "" {
-			owner = c.OwnerOf(peek.ID)
-		}
+	for i, rec := range recs {
+		owner := c.recordOwner(rec)
 		b, ok := byOwner[owner]
 		if !ok {
 			b = &ingestBatch{owner: owner}
 			byOwner[owner] = b
 			batches = append(batches, b)
 		}
-		b.buf.Write(raw)
+		b.buf.Write(rec.raw)
 		b.buf.WriteByte('\n')
 		b.indices = append(b.indices, i)
 	}
@@ -118,6 +116,27 @@ func (c *Cluster) flush(ctx context.Context, raws [][]byte) (fleet.IngestResult,
 		return res, indexedErr
 	}
 	return res, plainErr
+}
+
+// recordOwner routes a record by its id: the skimmed one, or when the
+// framer skimmed none, the id encoding/json reads from the record. A
+// record with no id it can read routes locally: it fails validation
+// wherever it lands, and the local registry produces the canonical typed
+// error for it.
+func (c *Cluster) recordOwner(rec ingestRecord) string {
+	id := rec.id
+	if id == "" {
+		var peek struct {
+			ID string `json:"id"`
+		}
+		if json.Unmarshal(rec.raw, &peek) == nil {
+			id = peek.ID
+		}
+	}
+	if id == "" {
+		return c.self
+	}
+	return c.OwnerOf(id)
 }
 
 // ingestBatch applies one member's routed sub-batch — on the local

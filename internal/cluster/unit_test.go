@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -176,5 +177,62 @@ func TestNewRefusals(t *testing.T) {
 	}
 	if c.Ring() == nil || c.Ring().Vnodes() != DefaultVnodes {
 		t.Error("Ring accessor broken")
+	}
+}
+
+// TestRecordOwnerTailRecords routes records the framer's skim declines —
+// an "ID" key, a duplicated id key, an escaped id after them — where a
+// full decode of each record routes it: by the id encoding/json reads, or
+// locally when it reads none.
+func TestRecordOwnerTailRecords(t *testing.T) {
+	c, err := New(Config{Self: "http://a", Peers: []string{"http://a", "http://b", "http://c"},
+		Registry: fleet.New(fleet.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// remote returns the first id after prefix that a peer owns, so a
+	// record that lost its id and routed locally would show.
+	remote := func(prefix string) string {
+		for i := 0; ; i++ {
+			if id := fmt.Sprintf("%s-%d", prefix, i); c.OwnerOf(id) != c.Self() {
+				return id
+			}
+		}
+	}
+	skimmed, upper, dup, escaped := remote("dev-skim"), remote("dev-upper"), remote("dev-dup"), remote("dev-esc")
+	stream := strings.Join([]string{
+		`{"id":"` + skimmed + `"}`,
+		`{"ID":"` + upper + `"}`, // not a device key: the decoder takes it and the rest
+		`{"id":"` + skimmed + `","id":"` + dup + `"}`,
+		`{"id":"\u0064` + escaped[1:] + `"}`, // "\u0064" is "d"
+		`{"region":"world"}`,
+	}, "\n")
+	want := []struct {
+		skimmedID string
+		owner     string
+	}{
+		{skimmed, c.OwnerOf(skimmed)},
+		{"", c.OwnerOf(upper)},
+		{"", c.OwnerOf(dup)},
+		{"", c.OwnerOf(escaped)},
+		{"", c.Self()},
+	}
+	var recs []ingestRecord
+	if err := fleet.ReadNDJSON(strings.NewReader(stream), 0, func(_ int, raw json.RawMessage, id string) error {
+		recs = append(recs, ingestRecord{raw, id})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("framed %d records, want %d", len(recs), len(want))
+	}
+	for i, rec := range recs {
+		if rec.id != want[i].skimmedID {
+			t.Errorf("record %d: skimmed id %q, want %q", i, rec.id, want[i].skimmedID)
+		}
+		if got := c.recordOwner(rec); got != want[i].owner {
+			t.Errorf("record %d %s: routed to %s, want %s", i, rec.raw, got, want[i].owner)
+		}
 	}
 }

@@ -10,8 +10,8 @@
 // Determinism matters more than distribution here: the same (seed, index)
 // always yields the same scenario, whatever order or worker evaluates it,
 // so a diverging index from CI reproduces locally byte-for-byte. Each index
-// owns an independent SplitMix64 stream derived with the same finalizer
-// convention as internal/uncertain's parallel Monte Carlo (PR 1).
+// owns an independent SplitMix64 stream, seeded by the SplitMix64
+// finalizer over the corpus seed plus (index+1) golden-ratio increments.
 
 package conform
 
@@ -28,7 +28,8 @@ import (
 type rng struct{ state uint64 }
 
 // newStream derives the independent stream of index i from the corpus
-// seed, the sampleSeed convention of internal/uncertain.
+// seed: the SplitMix64 finalizer applied to seed + (i+1)·0x9e3779b97f4a7c15,
+// so each index has its own stream and none depends on another.
 func newStream(seed uint64, i int) *rng {
 	z := seed + 0x9e3779b97f4a7c15*uint64(i+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

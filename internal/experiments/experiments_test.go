@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"os"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -11,7 +15,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17",
 		"table1", "table2", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10", "table11", "table12",
-		"ext1", "ext2", "ext3", "ext4", "ext5", "ext6", "ext7", "ext8", "ext9", "ext10",
 	}
 	ids := IDs()
 	have := map[string]bool{}
@@ -25,6 +28,27 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if len(ids) != len(want) {
 		t.Errorf("registry has %d experiments, want %d: %v", len(ids), len(want), ids)
+	}
+}
+
+// TestDocsNameEveryArtifact holds EXPERIMENTS.md to the registry: the
+// artifact ids it names are exactly IDs().
+func TestDocsNameEveryArtifact(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := map[string]bool{}
+	for _, id := range regexp.MustCompile(`\b(?:fig|table|ext)[0-9]+\b`).FindAllString(string(doc), -1) {
+		named[id] = true
+	}
+	var got []string
+	for id := range named {
+		got = append(got, id)
+	}
+	sort.Slice(got, func(i, j int) bool { return lessID(got[i], got[j]) })
+	if want := IDs(); !slices.Equal(got, want) {
+		t.Errorf("EXPERIMENTS.md names %v\nregistry has %v", got, want)
 	}
 }
 
@@ -43,8 +67,8 @@ func TestIDsSorted(t *testing.T) {
 	if len(figs) == 0 || len(tables) == 0 {
 		t.Fatal("expected both figures and tables")
 	}
-	if ids[0] != "ext1" {
-		t.Errorf("first id = %s, want ext1 (alphabetical prefix order)", ids[0])
+	if ids[0] != "fig1" {
+		t.Errorf("first id = %s, want fig1 (alphabetical prefix order)", ids[0])
 	}
 	if figs[len(figs)-1] != "fig17" {
 		t.Errorf("last figure = %s, want fig17", figs[len(figs)-1])

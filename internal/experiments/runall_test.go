@@ -1,59 +1,83 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// renderAll flattens results to one ASCII blob per experiment for byte
-// comparison.
-func renderAll(t *testing.T, results []Result) []string {
+var update = flag.Bool("update", false, "rewrite the artifact goldens in testdata/paper")
+
+// goldenDir holds one golden per artifact, <id>.txt.
+var goldenDir = filepath.Join("testdata", "paper")
+
+// render returns one artifact's ASCII exactly as `actpaper -outdir`
+// writes it to <id>.txt: each table followed by a newline.
+func render(t *testing.T, r Result) []byte {
 	t.Helper()
-	out := make([]string, len(results))
-	for i, r := range results {
-		var sb strings.Builder
-		sb.WriteString(r.Experiment.ID + "\n")
-		for _, tab := range r.Tables {
-			s, err := tab.ASCII()
-			if err != nil {
-				t.Fatalf("%s: %v", r.Experiment.ID, err)
-			}
-			sb.WriteString(s + "\n")
+	var b bytes.Buffer
+	for _, tab := range r.Tables {
+		s, err := tab.ASCII()
+		if err != nil {
+			t.Fatalf("%s: %v", r.Experiment.ID, err)
 		}
-		out[i] = sb.String()
+		b.WriteString(s + "\n")
 	}
-	return out
+	return b.Bytes()
 }
 
-// TestRunAllGolden pins the acceptance criterion for the experiment
-// harness: the parallel RunAll renders byte-identically to a sequential
-// loop over All(), in the same order.
-func TestRunAllGolden(t *testing.T) {
-	var seq []Result
-	for _, e := range All() {
-		tables, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+// readGolden returns testdata/paper/<id>.txt, first rewriting it with got
+// under -update.
+func readGolden(t *testing.T, id string, got []byte) []byte {
+	t.Helper()
+	path := filepath.Join(goldenDir, id+".txt")
+	if *update {
+		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+			t.Fatal(err)
 		}
-		seq = append(seq, Result{Experiment: e, Tables: tables})
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wantBlobs := renderAll(t, seq)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to write it)", err)
+	}
+	return want
+}
 
+// TestRunAllGolden pins every artifact byte for byte: RunAll at 1 and at 4
+// workers renders each one exactly as its committed golden, so a change to
+// the model math shows up as a golden diff. A golden with no artifact
+// fails too. Regenerate with
+// `go test ./internal/experiments -run TestRunAllGolden -update`.
+func TestRunAllGolden(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		got, err := RunAll(context.Background(), workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(seq) {
-			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(seq))
+		if len(got) != len(registry) {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(registry))
 		}
-		gotBlobs := renderAll(t, got)
-		for i := range wantBlobs {
-			if gotBlobs[i] != wantBlobs[i] {
-				t.Errorf("workers=%d: %s output differs from sequential run",
-					workers, got[i].Experiment.ID)
+		for _, r := range got {
+			blob := render(t, r)
+			if want := readGolden(t, r.Experiment.ID, blob); !bytes.Equal(blob, want) {
+				t.Errorf("workers=%d: %s differs from %s/%s.txt", workers, r.Experiment.ID, goldenDir, r.Experiment.ID)
 			}
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(goldenDir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := registry[strings.TrimSuffix(filepath.Base(f), ".txt")]; !ok {
+			t.Errorf("%s has no artifact", f)
 		}
 	}
 }

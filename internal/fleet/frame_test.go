@@ -121,7 +121,7 @@ func checkFraming(t *testing.T, data []byte, limit, maxDevices int) {
 			return nil
 		})
 		pos := 0
-		gotErr := ReadNDJSON(&stopsAtError{t: t, r: reader()}, maxDevices, func(i int, raw json.RawMessage) error {
+		gotErr := ReadNDJSON(&stopsAtError{t: t, r: reader()}, maxDevices, func(i int, raw json.RawMessage, _ string) error {
 			for pos < len(data) && isSpace(data[pos]) {
 				pos++
 			}

@@ -227,17 +227,19 @@ func (r *Registry) IngestNDJSON(rd io.Reader, maxDevices int) (IngestResult, err
 
 // ReadNDJSON frames a device stream — any concatenation of JSON values,
 // newline-separated or not — and calls fn with each record's zero-based
-// index and raw bytes, in order, until the stream ends or fn fails. Each
-// raw is its own copy. A malformed record is a typed validation error
-// rooted at "device[i]"; an IO-class failure (a read fault, a body-size
-// limit) keeps its type so callers can classify it; a record past a
-// positive maxDevices is ErrTooMany wrapped with the limit.
-func ReadNDJSON(rd io.Reader, maxDevices int, fn func(i int, raw json.RawMessage) error) error {
+// index, raw bytes and id, in order, until the stream ends or fn fails.
+// Each raw is its own copy. id is the one the skim read, or "" when the
+// skim read none or encoding/json's decoder took the record; a caller
+// that needs the id then reads it from raw. A malformed record is a typed
+// validation error rooted at "device[i]"; an IO-class failure (a read
+// fault, a body-size limit) keeps its type so callers can classify it; a
+// record past a positive maxDevices is ErrTooMany wrapped with the limit.
+func ReadNDJSON(rd io.Reader, maxDevices int, fn func(i int, raw json.RawMessage, id string) error) error {
 	return scanNDJSON(rd, maxDevices, func(i int, raw []byte, ds *DeviceSpec) error {
-		if ds != nil {
-			raw = bytes.Clone(raw)
+		if ds == nil {
+			return fn(i, raw, "")
 		}
-		return fn(i, raw)
+		return fn(i, bytes.Clone(raw), ds.ID)
 	})
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"act/internal/units"
 )
@@ -147,142 +146,6 @@ func TestQuickMixBounds(t *testing.T) {
 		lo := math.Min(a.GramsPerKWh(), b.GramsPerKWh())
 		hi := math.Max(a.GramsPerKWh(), b.GramsPerKWh())
 		return ci.GramsPerKWh() >= lo-1e-9 && ci.GramsPerKWh() <= hi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestConstantTrace(t *testing.T) {
-	tr := Constant(units.GramsPerKWh(300))
-	for _, d := range []time.Duration{0, time.Hour, 100 * time.Hour} {
-		if tr.At(d).GramsPerKWh() != 300 {
-			t.Errorf("Constant.At(%v) = %v, want 300", d, tr.At(d))
-		}
-	}
-}
-
-func TestDiurnalTrace(t *testing.T) {
-	tr := Diurnal{
-		Base:  units.GramsPerKWh(600),
-		Depth: units.GramsPerKWh(400),
-		Noon:  12 * time.Hour,
-	}
-	// Midnight: full base intensity.
-	if got := tr.At(0).GramsPerKWh(); got != 600 {
-		t.Errorf("Diurnal at midnight = %v, want 600", got)
-	}
-	// Solar noon: maximum dip.
-	if got := tr.At(12 * time.Hour).GramsPerKWh(); math.Abs(got-200) > 1e-9 {
-		t.Errorf("Diurnal at noon = %v, want 200", got)
-	}
-	// Periodic: same value 24h later.
-	a := tr.At(9 * time.Hour).GramsPerKWh()
-	b := tr.At(33 * time.Hour).GramsPerKWh()
-	if math.Abs(a-b) > 1e-9 {
-		t.Errorf("Diurnal not 24h-periodic: %v vs %v", a, b)
-	}
-	// Never negative even when Depth > Base.
-	deep := Diurnal{Base: 100, Depth: 400, Noon: 12 * time.Hour}
-	if got := deep.At(12 * time.Hour).GramsPerKWh(); got != 0 {
-		t.Errorf("Diurnal clipped = %v, want 0", got)
-	}
-}
-
-func TestStepTrace(t *testing.T) {
-	tr, err := NewStep(
-		[]time.Duration{0, time.Hour, 2 * time.Hour},
-		[]units.CarbonIntensity{100, 200, 300},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{-time.Minute, 100},
-		{0, 100},
-		{30 * time.Minute, 100},
-		{time.Hour, 200},
-		{90 * time.Minute, 200},
-		{2 * time.Hour, 300},
-		{100 * time.Hour, 300},
-	}
-	for _, c := range cases {
-		if got := tr.At(c.at).GramsPerKWh(); got != c.want {
-			t.Errorf("Step.At(%v) = %v, want %v", c.at, got, c.want)
-		}
-	}
-
-	if _, err := NewStep(nil, nil); err == nil {
-		t.Error("NewStep(empty): expected error")
-	}
-	if _, err := NewStep(
-		[]time.Duration{0, 0},
-		[]units.CarbonIntensity{1, 2},
-	); err == nil {
-		t.Error("NewStep(non-increasing): expected error")
-	}
-	if _, err := NewStep(
-		[]time.Duration{0},
-		[]units.CarbonIntensity{1, 2},
-	); err == nil {
-		t.Error("NewStep(length mismatch): expected error")
-	}
-}
-
-func TestAverage(t *testing.T) {
-	// Averaging a constant trace returns the constant.
-	avg, err := Average(Constant(units.GramsPerKWh(250)), 0, 24*time.Hour, time.Hour)
-	if err != nil || avg.GramsPerKWh() != 250 {
-		t.Errorf("Average(constant) = %v, %v", avg, err)
-	}
-
-	// A diurnal trace averaged over a full day sits between the extremes,
-	// and averaging only the night window returns the base.
-	tr := Diurnal{Base: 600, Depth: 400, Noon: 12 * time.Hour}
-	day, err := Average(tr, 0, 24*time.Hour, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if day.GramsPerKWh() <= 200 || day.GramsPerKWh() >= 600 {
-		t.Errorf("full-day diurnal average = %v, want within (200, 600)", day)
-	}
-	night, err := Average(tr, 0, 3*time.Hour, time.Minute)
-	if err != nil || math.Abs(night.GramsPerKWh()-600) > 1e-9 {
-		t.Errorf("night average = %v, %v, want 600", night, err)
-	}
-
-	if _, err := Average(tr, 0, 0, time.Minute); err == nil {
-		t.Error("Average(empty window): expected error")
-	}
-	if _, err := Average(tr, 0, time.Hour, 0); err == nil {
-		t.Error("Average(zero resolution): expected error")
-	}
-}
-
-func TestQuickStepTraceMatchesLinearScan(t *testing.T) {
-	// Property: binary search in Step.At agrees with a linear scan.
-	tr, err := NewStep(
-		[]time.Duration{0, 1 * time.Hour, 5 * time.Hour, 6 * time.Hour, 20 * time.Hour},
-		[]units.CarbonIntensity{10, 20, 30, 40, 50},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	linear := func(t time.Duration) units.CarbonIntensity {
-		v := tr.Values[0]
-		for i, bp := range tr.Times {
-			if t >= bp {
-				v = tr.Values[i]
-			}
-		}
-		return v
-	}
-	f := func(mins int16) bool {
-		at := time.Duration(mins) * time.Minute
-		return tr.At(at) == linear(at)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
