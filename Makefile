@@ -91,8 +91,10 @@ cover:
 # without panics or hangs), the script lexer held to its pre-tuning
 # oracle (tokens, positions and error texts), the JSON scalar
 # appenders every result document and script envelope is written with,
-# held to encoding/json, the /v1/sweep body's fast decode held to
-# readJSON's encoding/json decode, and the fleet ingest framer held to
+# held to encoding/json, the /v1/sweep and /v1/script bodies' fast
+# decodes held to decodeJSON's encoding/json decode, footprint()'s walk
+# of a script map into a scenario held to the map's JSON rendering
+# through scenario.Unmarshal, and the fleet ingest framer held to
 # encoding/json's stream decoder (record bytes and offsets, applied count
 # and error text). Each of that fuzzer's runs ingests through fresh
 # registries, so a new input's minimization is capped at 100 runs to
@@ -114,6 +116,8 @@ verify-chaos:
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzJSONScalars -fuzz FuzzJSONScalars -fuzztime 10s ./internal/report/
 	$(GO) test -run FuzzSweepDecode -fuzz FuzzSweepDecode -fuzztime 10s ./internal/serve/
+	$(GO) test -run FuzzScriptRequestDecode -fuzz FuzzScriptRequestDecode -fuzztime 10s ./internal/serve/
+	$(GO) test -run FuzzSpecFromValue -fuzz FuzzSpecFromValue -fuzztime 10s ./internal/script/
 
 # Crash-consistency harness: a seeded 200+-operation trace against the
 # MemFS-backed fleet store, power-cycled after every single filesystem
@@ -176,7 +180,7 @@ bench-export:
 # script program, reporting script_overhead_x against the direct colbatch
 # path, and the program perfbench's design workload sends (200 corpus
 # scenarios as literals, one footprint() call, a fold) without HTTP.
-# Recorded as BENCH_9.json and BENCH_22.json.
+# Recorded as BENCH_9.json, BENCH_22.json and BENCH_28.json.
 bench-script:
 	$(BENCHSH) -bench 'Sweep1k$$|Corpus200$$' ./internal/script/
 

@@ -13,38 +13,6 @@ import (
 	"act/internal/units"
 )
 
-// BenchmarkAblationYieldModel contrasts the paper's fixed 0.875 yield with
-// Poisson and Murphy defect models on a phone-class and a reticle-class
-// die.
-func BenchmarkAblationYieldModel(b *testing.B) {
-	models := []struct {
-		name  string
-		yield fab.YieldModel
-	}{
-		{"fixed", fab.FixedYield(fab.DefaultYield)},
-		{"poisson", fab.PoissonYield{D0: 0.2}},
-		{"murphy", fab.MurphyYield{D0: 0.2}},
-	}
-	dies := map[string]units.Area{"phone": units.MM2(100), "reticle": units.MM2(800)}
-	for i := 0; i < b.N; i++ {
-		for _, m := range models {
-			f, err := fab.New(fab.Node7, fab.WithYield(m.yield))
-			if err != nil {
-				b.Fatal(err)
-			}
-			for die, area := range dies {
-				e, err := f.Embodied(area)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(e.Kilograms(), m.name+"-"+die+"-kg")
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkAblationAbatement sweeps gaseous abatement from the 95% to the
 // 99% bound (Table 7's band) at 3 nm, where the gas term is largest.
 func BenchmarkAblationAbatement(b *testing.B) {

@@ -28,20 +28,6 @@ func BenchmarkCPAAcrossNodes(b *testing.B) {
 	}
 }
 
-func BenchmarkEmbodiedMurphyYield(b *testing.B) {
-	f, err := New(Node7, WithYield(MurphyYield{D0: 0.2}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	area := units.MM2(400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Embodied(area); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkResolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Resolve(16); err != nil {

@@ -3,7 +3,6 @@ package fab
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"act/internal/intensity"
 	"act/internal/units"
@@ -145,38 +144,16 @@ func TestYieldModels(t *testing.T) {
 	if got := (FixedYield(0.875)).Yield(a); got != 0.875 {
 		t.Errorf("FixedYield = %v, want 0.875", got)
 	}
-	// Poisson at D0=0.1/cm², A=1cm²: exp(-0.1) ≈ 0.9048.
-	if got := (PoissonYield{D0: 0.1}).Yield(a); math.Abs(got-math.Exp(-0.1)) > 1e-12 {
-		t.Errorf("PoissonYield = %v", got)
-	}
-	// Murphy at x -> 0 tends to 1.
-	if got := (MurphyYield{D0: 0.1}).Yield(0); got != 1 {
-		t.Errorf("MurphyYield(0 area) = %v, want 1", got)
-	}
-	// Murphy is between Poisson and 1 for positive defect counts.
-	p := (PoissonYield{D0: 0.5}).Yield(a)
-	m := (MurphyYield{D0: 0.5}).Yield(a)
-	if !(p < m && m < 1) {
-		t.Errorf("expected Poisson (%v) < Murphy (%v) < 1", p, m)
+	if got := (FixedYield(0.875)).Yield(units.CM2(100)); got != 0.875 {
+		t.Errorf("FixedYield depends on area: %v, want 0.875", got)
 	}
 }
 
-func TestQuickYieldMonotoneInArea(t *testing.T) {
-	// Property: defect-driven yield is non-increasing in die area.
-	f := func(a1, a2 uint16) bool {
-		lo, hi := float64(a1%500), float64(a2%500)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		p := PoissonYield{D0: 0.2}
-		m := MurphyYield{D0: 0.2}
-		return p.Yield(units.MM2(lo)) >= p.Yield(units.MM2(hi))-1e-12 &&
-			m.Yield(units.MM2(lo)) >= m.Yield(units.MM2(hi))-1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
+// poissonYield is the Poisson defect model Y = exp(-D0·A), D0 in defects
+// per cm²: an area-dependent YieldModel for the tests below.
+type poissonYield float64
+
+func (d0 poissonYield) Yield(area units.Area) float64 { return math.Exp(-float64(d0) * area.CM2()) }
 
 func TestNewDefaults(t *testing.T) {
 	f, err := New(Node10)
@@ -316,7 +293,7 @@ func TestCPAAcrossNodes(t *testing.T) {
 }
 
 func TestCPADependsOnAreaUnderDefectYield(t *testing.T) {
-	f, err := New(Node7, WithYield(MurphyYield{D0: 0.5}))
+	f, err := New(Node7, WithYield(poissonYield(0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +313,7 @@ func TestCPADependsOnAreaUnderDefectYield(t *testing.T) {
 func TestCPAErrorOnDegenerateYield(t *testing.T) {
 	// A Poisson model with huge defect density drives yield to numerical
 	// zero for large dies; the model must reject rather than divide by it.
-	f, err := New(Node7, WithYield(PoissonYield{D0: 1e6}))
+	f, err := New(Node7, WithYield(poissonYield(1e6)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,14 @@ package fab
 
 import (
 	"fmt"
-	"math"
 
 	"act/internal/units"
 )
 
 // A YieldModel maps a die area to the fraction of manufactured dies that
 // are functional (0 < Y <= 1). The paper treats yield as a free scalar
-// (Table 1: "Y, Fab yield, 0-1"); this package additionally provides the
-// two classic defect-density models as extensions, so that design-space
-// sweeps can capture yield falling with die area.
+// (Table 1: "Y, Fab yield, 0-1"), which FixedYield is; the model takes the
+// die area so that a defect-density model can plug in.
 type YieldModel interface {
 	// Yield returns the expected yield for a die of the given area.
 	Yield(area units.Area) float64
@@ -25,41 +23,6 @@ func (y FixedYield) Yield(units.Area) float64 { return float64(y) }
 
 // String renders the yield as a percentage.
 func (y FixedYield) String() string { return fmt.Sprintf("fixed %.1f%%", float64(y)*100) }
-
-// PoissonYield is the Poisson defect model Y = exp(-D0·A), where D0 is the
-// defect density. It is pessimistic for large dies.
-type PoissonYield struct {
-	// D0 is the defect density in defects per cm².
-	D0 float64
-}
-
-// Yield implements YieldModel.
-func (y PoissonYield) Yield(area units.Area) float64 {
-	return math.Exp(-y.D0 * area.CM2())
-}
-
-// String identifies the model and its defect density.
-func (y PoissonYield) String() string { return fmt.Sprintf("poisson D0=%.3g/cm²", y.D0) }
-
-// MurphyYield is Murphy's yield model Y = ((1-exp(-D0·A))/(D0·A))², the
-// industry-standard compromise between the Poisson and Seeds models.
-type MurphyYield struct {
-	// D0 is the defect density in defects per cm².
-	D0 float64
-}
-
-// Yield implements YieldModel.
-func (y MurphyYield) Yield(area units.Area) float64 {
-	x := y.D0 * area.CM2()
-	if x == 0 {
-		return 1
-	}
-	f := (1 - math.Exp(-x)) / x
-	return f * f
-}
-
-// String identifies the model and its defect density.
-func (y MurphyYield) String() string { return fmt.Sprintf("murphy D0=%.3g/cm²", y.D0) }
 
 // ValidYield reports whether a yield value is usable by the model
 // (strictly positive, at most 1).

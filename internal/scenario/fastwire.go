@@ -21,10 +21,17 @@
 // again with encoding/json. A decline is never an error and never a
 // partial result: errors always come from the oracle, so their texts are
 // the oracle's by construction.
+//
+// The same decoder also walks a document another package has already
+// parsed (NewTreeDecoder: a script's maps and lists), through the same
+// key tables and cases, taking exactly the values whose JSON rendering
+// the text path would take to the same result.
 
 package scenario
 
 import (
+	"math"
+	"slices"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -41,11 +48,37 @@ type FastDecoder struct {
 	data []byte
 	pos  int
 	ok   bool
+	tree bool // walking cur, not reading data
+	cur  any  // in a tree walk, the value the next method decodes
 }
 
 // NewFastDecoder returns a decoder positioned at the start of data.
 func NewFastDecoder(data []byte) *FastDecoder {
 	return &FastDecoder{data: data, ok: true}
+}
+
+// Object and Array are the containers of a parsed document a tree
+// decoder walks; strings are string and numbers float64. Members come in
+// document order.
+type (
+	Object interface {
+		Len() int
+		Member(i int) (key string, v any)
+	}
+	Array interface {
+		Len() int
+		Elem(i int) any
+	}
+)
+
+// NewTreeDecoder returns a decoder over the parsed document v. Besides
+// what the text path declines, it declines a value of any other type
+// (nil among them), a string that is not valid UTF-8, a NaN or infinite
+// number, and for an int field a number that is not an integer of at
+// most 2⁵³ in magnitude: the values whose JSON rendering encoding/json
+// would refuse, zero, rewrite or round. Skip declines at once.
+func NewTreeDecoder(v any) *FastDecoder {
+	return &FastDecoder{ok: true, tree: true, cur: v}
 }
 
 // Pos is the offset of the next unread byte: after the last value
@@ -115,6 +148,10 @@ func (d *FastDecoder) next(more, end byte) bool {
 // decoder positioned at the member's value, which field must decode. An
 // unknown or repeated key declines.
 func (d *FastDecoder) Object(keys []string, field func(key string)) {
+	if d.tree {
+		d.treeObject(keys, field)
+		return
+	}
 	if !d.expect('{') {
 		return
 	}
@@ -139,6 +176,27 @@ func (d *FastDecoder) Object(keys []string, field func(key string)) {
 	}
 }
 
+// treeObject is Object in a tree walk.
+func (d *FastDecoder) treeObject(keys []string, field func(key string)) {
+	o, ok := d.cur.(Object)
+	if !ok {
+		d.decline()
+		return
+	}
+	var seen uint64
+	for i := 0; d.ok && i < o.Len(); i++ {
+		key, v := o.Member(i)
+		k := slices.Index(keys, key)
+		if k < 0 || seen&(1<<k) != 0 {
+			d.decline()
+			return
+		}
+		seen |= 1 << k
+		d.cur = v
+		field(keys[k])
+	}
+}
+
 // key reads an object key and returns its index in keys, or -1.
 func (d *FastDecoder) key(keys []string) int {
 	d.skipSpace()
@@ -154,6 +212,18 @@ func (d *FastDecoder) key(keys []string) int {
 // Array decodes one array, calling elem once per element with the decoder
 // positioned at it; elem must decode the element.
 func (d *FastDecoder) Array(elem func()) {
+	if d.tree {
+		a, ok := d.cur.(Array)
+		if !ok {
+			d.decline()
+			return
+		}
+		for i := 0; d.ok && i < a.Len(); i++ {
+			d.cur = a.Elem(i)
+			elem()
+		}
+		return
+	}
 	if !d.expect('[') {
 		return
 	}
@@ -247,8 +317,14 @@ func (d *FastDecoder) unescape(start, i int) []byte {
 			// AppendRune writes a lone surrogate as U+FFFD.
 			out = utf8.AppendRune(out, r)
 		case c >= 0x20 && c != '\\':
-			out = append(out, c)
-			i++
+			// Copy the whole run up to the next quote, escape or
+			// control byte at once.
+			j := i + 1
+			for j < len(data) && (isPlain[data[j]] || data[j] >= utf8.RuneSelf) {
+				j++
+			}
+			out = append(out, data[i:j]...)
+			i = j
 		default:
 			d.decline()
 			return nil
@@ -332,6 +408,13 @@ func (d *FastDecoder) skip(depth int) {
 
 // String decodes one string value.
 func (d *FastDecoder) String() string {
+	if d.tree {
+		s, ok := d.cur.(string)
+		if !ok || !utf8.ValidString(s) {
+			d.decline()
+		}
+		return s
+	}
 	d.skipSpace()
 	return string(d.str())
 }
@@ -388,8 +471,22 @@ func digits(b []byte, i int) int {
 	return i
 }
 
+// treeNumber is the tree walk's number: finite, and for an int field
+// integral with |f| ≤ 2⁵³.
+func (d *FastDecoder) treeNumber(isInt bool) float64 {
+	f, ok := d.cur.(float64)
+	if !ok || math.IsNaN(f) || math.IsInf(f, 0) || isInt && (f != math.Trunc(f) || math.Abs(f) > 1<<53) {
+		d.decline()
+		return 0
+	}
+	return f
+}
+
 // Float decodes one number as encoding/json does for a float64 field.
 func (d *FastDecoder) Float() float64 {
+	if d.tree {
+		return d.treeNumber(false)
+	}
 	num := d.number()
 	if !d.ok {
 		return 0
@@ -404,6 +501,9 @@ func (d *FastDecoder) Float() float64 {
 
 // Int decodes one number as encoding/json does for an int field.
 func (d *FastDecoder) Int() int {
+	if d.tree {
+		return int(d.treeNumber(true))
+	}
 	num := d.number()
 	if !d.ok {
 		return 0

@@ -3,7 +3,6 @@ package script
 import (
 	"context"
 	"math"
-	"slices"
 
 	"act/internal/acterr"
 )
@@ -283,16 +282,17 @@ func (in *interp) execForIn(scope *env, st *forInStmt) error {
 			}
 		}
 	case *Map:
-		// Iterate a snapshot of the key order so the body may mutate
-		// the map without corrupting the walk.
+		// The walk covers the keys the map held when it began, so the
+		// body may add keys without extending it; entries never move,
+		// and each value is read when its pass starts. No key snapshot
+		// is copied any more, but its 16 bytes a key stay charged: the
+		// byte charges are part of the budget contract.
 		if err := in.charge(int64(16 * len(seq.keys))); err != nil {
 			return err
 		}
-		for _, k := range slices.Clone(seq.keys) {
-			if v, ok := seq.vals[k]; ok {
-				if stop, err := iter(k, v); stop {
-					return err
-				}
+		for i, n := 0, len(seq.keys); i < n; i++ {
+			if stop, err := iter(seq.keys[i], seq.vals[i]); stop {
+				return err
 			}
 		}
 	case string:
@@ -340,12 +340,14 @@ func (in *interp) execAssign(scope *env, st *assignStmt) error {
 			if !ok {
 				return errAt(t.pos, "map key must be a string, got %s", typeName(idx))
 			}
-			if _, exists := c.Get(k); !exists {
-				if err := in.charge(32 + int64(len(k))); err != nil {
-					return err
-				}
+			if i := c.find(k); i >= 0 {
+				c.vals[i] = v
+				return nil
 			}
-			c.Set(k, v)
+			if err := in.charge(32 + int64(len(k))); err != nil {
+				return err
+			}
+			c.add(k, v)
 			return nil
 		default:
 			return errAt(t.pos, "cannot index-assign into a %s", typeName(container))
@@ -376,14 +378,8 @@ func (in *interp) evalExpr(scope *env, e expr) (Value, error) {
 		return nil, err
 	}
 	switch ex := e.(type) {
-	case *numLit:
+	case *litExpr:
 		return ex.val, nil
-	case *strLit:
-		return ex.val, nil
-	case *boolLit:
-		return ex.val, nil
-	case *nilLit:
-		return nil, nil
 	case *identExpr:
 		v, ok := scope.lookup(ex.name)
 		if !ok {
@@ -394,30 +390,30 @@ func (in *interp) evalExpr(scope *env, e expr) (Value, error) {
 		if err := in.charge(24 + 16*int64(len(ex.elems))); err != nil {
 			return nil, err
 		}
-		out := &List{Elems: make([]Value, 0, len(ex.elems))}
-		for _, el := range ex.elems {
+		out := &List{Elems: make([]Value, len(ex.elems))}
+		for i, el := range ex.elems {
 			v, err := in.evalExpr(scope, el)
 			if err != nil {
 				return nil, err
 			}
-			out.Elems = append(out.Elems, v)
+			out.Elems[i] = v
 		}
 		return out, nil
 	case *mapLit:
-		out := NewMap()
-		for i, kx := range ex.keys {
-			k := kx.(*strLit).val
-			if err := in.charge(32 + int64(len(k))); err != nil {
+		out := newMapCap(len(ex.entries))
+		for i := range ex.entries {
+			e := &ex.entries[i]
+			if err := in.charge(32 + int64(len(e.key))); err != nil {
 				return nil, err
 			}
-			v, err := in.evalExpr(scope, ex.vals[i])
+			v, err := in.evalExpr(scope, e.val)
 			if err != nil {
 				return nil, err
 			}
-			if _, dup := out.Get(k); dup {
-				return nil, errAt(kx.exprPos(), "duplicate map key %q", k)
+			if out.find(e.key) >= 0 {
+				return nil, errAt(e.pos, "duplicate map key %q", e.key)
 			}
-			out.Set(k, v)
+			out.add(e.key, v)
 		}
 		return out, nil
 	case *indexExpr:

@@ -1,8 +1,7 @@
 package script
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"strings"
 
@@ -39,40 +38,54 @@ func registerHost(scope *env) {
 	}
 }
 
-// specFromValue converts a script map into a wire scenario through the
-// strict decoder, so scripts get exactly the validation surface of the
-// HTTP and CLI layers (unknown fields rejected, same error texts). Item i
-// of a list names itself "scenario [i]" in the error; i < 0 marks a lone
+// specFromValue converts a script map into a wire scenario. The wire
+// decoder walks the map directly, through its own key tables; whatever
+// that walk declines goes to specFromJSON, the oracle whose errors are the
+// contract. So scripts get exactly the validation surface of the HTTP and
+// CLI layers (unknown fields rejected, same error texts). Item i of a
+// list names itself "scenario [i]" in the error; i < 0 marks a lone
 // scenario, whose decoder errors read "invalid scenario". need is the
 // calling builtin's statement of the forms it takes, for a non-map v.
 func specFromValue(pos Pos, i int, v Value, need string) (*scenario.Spec, error) {
-	label := func(msg string) string {
-		if i < 0 {
-			return msg
-		}
-		return fmt.Sprintf("scenario [%d]: %s", i, msg)
-	}
 	m, ok := v.(*Map)
 	if !ok {
-		return nil, errAt(pos, "%s", label(need+", got "+typeName(v)))
+		return nil, errAt(pos, "%s", itemMsg(i, need+", got "+typeName(v)))
 	}
+	d := scenario.NewTreeDecoder(m)
+	if spec, err := d.Spec(); d.End() && err == nil {
+		return spec, nil
+	}
+	return specFromJSON(pos, i, m)
+}
+
+// specFromJSON renders m as JSON and decodes it with scenario.Unmarshal,
+// the strict decoder of the HTTP and CLI layers.
+func specFromJSON(pos Pos, i int, m *Map) (*scenario.Spec, error) {
 	data, err := appendValueJSON(nil, m, -1)
 	if err != nil {
 		if i < 0 {
 			return nil, err
 		}
 		// The writer's errors may be shared (errTooDeep): wrap, never edit.
-		return nil, &Error{Pos: pos, Msg: label(err.(*Error).Msg), Err: err}
+		return nil, &Error{Pos: pos, Msg: itemMsg(i, err.(*Error).Msg), Err: err}
 	}
 	spec, err := scenario.Unmarshal(data)
 	if err != nil {
-		msg := label(err.Error())
+		msg := itemMsg(i, err.Error())
 		if i < 0 {
 			msg = "invalid scenario: " + msg
 		}
 		return nil, &Error{Pos: pos, Msg: msg, Err: err}
 	}
 	return spec, nil
+}
+
+// itemMsg names item i of a list (i >= 0) in msg.
+func itemMsg(i int, msg string) string {
+	if i < 0 {
+		return msg
+	}
+	return fmt.Sprintf("scenario [%d]: %s", i, msg)
 }
 
 // resultValue builds item i of res as a script value, charging twice the
@@ -94,9 +107,9 @@ func resultValue(in *interp, res *colbatch.Results, i int, d *docBuilder) (Value
 }
 
 // docBuilder is the colbatch.Sink that assembles a result document as
-// ordered maps and lists. Result strings are valid UTF-8 (every spec
-// reaches colbatch through the JSON decoder), so they are the strings a
-// parse of the document would give.
+// ordered maps and lists. Result strings are valid UTF-8 (the wire
+// decoder takes no other), so they are the strings a parse of the
+// document would give.
 type docBuilder struct {
 	root  Value
 	stack []Value // the open maps and lists, innermost last
@@ -109,14 +122,14 @@ func (d *docBuilder) put(key string, v Value) {
 	}
 	switch c := d.stack[len(d.stack)-1].(type) {
 	case *Map:
-		c.Set(key, v)
+		c.add(key, v) // a document repeats no key
 	case *List:
 		c.Elems = append(c.Elems, v)
 	}
 }
 
 func (d *docBuilder) Object(key string, n int) {
-	m := &Map{keys: make([]string, 0, n), vals: make(map[string]Value, n)}
+	m := newMapCap(n)
 	d.put(key, m)
 	d.stack = append(d.stack, m)
 }
@@ -131,84 +144,21 @@ func (d *docBuilder) End()                        { d.stack = d.stack[:len(d.sta
 func (d *docBuilder) String(key, s string)        { d.put(key, s) }
 func (d *docBuilder) Float(key string, f float64) { d.put(key, f) }
 
-// decodeDoc parses a canonical result document into script values,
-// preserving the document's key order so script output stays as
-// deterministic as the document itself.
+// decodeDoc builds a result document's values by evaluating it as a
+// program: a JSON object with quoted keys is a map literal, and its keys,
+// strings and float bits come out as a JSON decode gives them. It runs
+// under an interpreter of its own, outside the program's budget.
 func decodeDoc(doc []byte) (Value, error) {
-	dec := json.NewDecoder(bytes.NewReader(doc))
-	dec.UseNumber()
-	v, err := decodeOrdered(dec, 0)
+	prog, err := Parse(string(doc))
+	var v Value
+	if err == nil {
+		bg := context.Background()
+		v, err = (&interp{ctx: bg, outerCtx: bg}).run(prog)
+	}
 	if err != nil {
 		return nil, &Error{Msg: fmt.Sprintf("internal: decoding result document: %v", err), Err: err}
 	}
 	return v, nil
-}
-
-// decodeOrdered rebuilds one JSON value from a decoder token stream,
-// keeping object key order.
-func decodeOrdered(dec *json.Decoder, depth int) (Value, error) {
-	if depth > maxValueDepth {
-		return nil, errTooDeep
-	}
-	tok, err := dec.Token()
-	if err != nil {
-		return nil, err
-	}
-	switch t := tok.(type) {
-	case json.Delim:
-		switch t {
-		case '{':
-			m := NewMap()
-			for dec.More() {
-				keyTok, err := dec.Token()
-				if err != nil {
-					return nil, err
-				}
-				key, ok := keyTok.(string)
-				if !ok {
-					return nil, fmt.Errorf("object key is %T", keyTok)
-				}
-				v, err := decodeOrdered(dec, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				m.Set(key, v)
-			}
-			if _, err := dec.Token(); err != nil { // consume '}'
-				return nil, err
-			}
-			return m, nil
-		case '[':
-			l := &List{}
-			for dec.More() {
-				v, err := decodeOrdered(dec, depth+1)
-				if err != nil {
-					return nil, err
-				}
-				l.Elems = append(l.Elems, v)
-			}
-			if _, err := dec.Token(); err != nil { // consume ']'
-				return nil, err
-			}
-			return l, nil
-		default:
-			return nil, fmt.Errorf("unexpected delimiter %v", t)
-		}
-	case json.Number:
-		f, err := t.Float64()
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
-	case string:
-		return t, nil
-	case bool:
-		return t, nil
-	case nil:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("unexpected token %T", tok)
-	}
 }
 
 // evalFootprints is the one path from scenario maps to model results:

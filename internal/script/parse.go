@@ -1,25 +1,18 @@
 package script
 
+import "slices"
+
 // The AST. Nodes carry their source position for error reporting; the
 // evaluator charges one budget step per node it visits.
 
 type expr interface{ exprPos() Pos }
 
 type (
-	numLit struct {
+	// litExpr is a number, string, bool or nil literal, its value boxed
+	// once at parse time so evaluating it allocates nothing.
+	litExpr struct {
 		pos Pos
-		val float64
-	}
-	strLit struct {
-		pos Pos
-		val string
-	}
-	boolLit struct {
-		pos Pos
-		val bool
-	}
-	nilLit struct {
-		pos Pos
+		val Value
 	}
 	identExpr struct {
 		pos  Pos
@@ -30,9 +23,8 @@ type (
 		elems []expr
 	}
 	mapLit struct {
-		pos  Pos
-		keys []expr // string literals (quoted or bare-ident sugar)
-		vals []expr
+		pos     Pos
+		entries []mapEntry
 	}
 	indexExpr struct {
 		pos Pos
@@ -63,10 +55,15 @@ type (
 	}
 )
 
-func (e *numLit) exprPos() Pos    { return e.pos }
-func (e *strLit) exprPos() Pos    { return e.pos }
-func (e *boolLit) exprPos() Pos   { return e.pos }
-func (e *nilLit) exprPos() Pos    { return e.pos }
+// mapEntry is one key of a map literal (quoted or bare-ident sugar),
+// where it stands, and its value.
+type mapEntry struct {
+	key string
+	pos Pos
+	val expr
+}
+
+func (e *litExpr) exprPos() Pos   { return e.pos }
 func (e *identExpr) exprPos() Pos { return e.pos }
 func (e *listLit) exprPos() Pos   { return e.pos }
 func (e *mapLit) exprPos() Pos    { return e.pos }
@@ -157,6 +154,11 @@ type parser struct {
 	toks  []token
 	i     int
 	depth int
+	// exprs and entries are scratch stacks: a list, call or map collects
+	// its items above the stack's top, then copies them out at exact
+	// size and pops them, so nested literals share one growing buffer.
+	exprs   []expr
+	entries []mapEntry
 	// noMap suppresses a map literal in primary position, so block
 	// braces after `if cond` and `for cond` stay unambiguous. Entering
 	// any bracketed subexpression clears it.
@@ -204,6 +206,14 @@ func (p *parser) enter() error {
 }
 
 func (p *parser) leave() { p.depth-- }
+
+// pop copies the items of stack above base out at exact size and pops
+// them.
+func pop[T any](stack *[]T, base int) []T {
+	out := slices.Clone((*stack)[base:])
+	*stack = (*stack)[:base]
+	return out
+}
 
 // program = { statement terminator } EOF
 func (p *parser) program() ([]stmt, error) {
@@ -576,7 +586,7 @@ func (p *parser) postfix() (expr, error) {
 		switch {
 		case p.isPunct("("):
 			open := p.next()
-			var args []expr
+			base := len(p.exprs)
 			saved := p.noMap
 			p.noMap = false
 			for !p.isPunct(")") {
@@ -589,7 +599,7 @@ func (p *parser) postfix() (expr, error) {
 					p.noMap = saved
 					return nil, err
 				}
-				args = append(args, a)
+				p.exprs = append(p.exprs, a)
 				if p.isPunct(",") {
 					p.next()
 				} else if !p.isPunct(")") {
@@ -599,7 +609,7 @@ func (p *parser) postfix() (expr, error) {
 			}
 			p.noMap = saved
 			p.next() // )
-			x = &callExpr{pos: open.pos, fn: x, args: args}
+			x = &callExpr{pos: open.pos, fn: x, args: pop(&p.exprs, base)}
 		case p.isPunct("["):
 			open := p.next()
 			saved := p.noMap
@@ -620,7 +630,7 @@ func (p *parser) postfix() (expr, error) {
 				return nil, errAt(t.pos, "expected field name after \".\", found %s", t)
 			}
 			name := p.next().text
-			x = &indexExpr{pos: dot.pos, x: x, idx: &strLit{pos: t.pos, val: name}}
+			x = &indexExpr{pos: dot.pos, x: x, idx: &litExpr{pos: t.pos, val: name}}
 		default:
 			return x, nil
 		}
@@ -636,18 +646,18 @@ func (p *parser) primary() (expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.next()
-		return &numLit{pos: t.pos, val: t.num}, nil
+		return &litExpr{pos: t.pos, val: t.num}, nil
 	case tokString:
 		p.next()
-		return &strLit{pos: t.pos, val: t.text}, nil
+		return &litExpr{pos: t.pos, val: t.text}, nil
 	case tokIdent:
 		switch t.text {
 		case "true", "false":
 			p.next()
-			return &boolLit{pos: t.pos, val: t.text == "true"}, nil
+			return &litExpr{pos: t.pos, val: t.text == "true"}, nil
 		case "nil":
 			p.next()
-			return &nilLit{pos: t.pos}, nil
+			return &litExpr{pos: t.pos}, nil
 		case "fn":
 			p.next()
 			params, body, err := p.fnRest()
@@ -693,7 +703,7 @@ func (p *parser) listLiteral() (expr, error) {
 	saved := p.noMap
 	p.noMap = false
 	defer func() { p.noMap = saved }()
-	var elems []expr
+	base := len(p.exprs)
 	for !p.isPunct("]") {
 		if p.peek().kind == tokEOF {
 			return nil, errAt(open.pos, "unterminated list literal")
@@ -702,7 +712,7 @@ func (p *parser) listLiteral() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		elems = append(elems, e)
+		p.exprs = append(p.exprs, e)
 		if p.isPunct(",") {
 			p.next()
 		} else if !p.isPunct("]") {
@@ -713,7 +723,7 @@ func (p *parser) listLiteral() (expr, error) {
 		}
 	}
 	p.next() // ]
-	return &listLit{pos: open.pos, elems: elems}, nil
+	return &listLit{pos: open.pos, elems: pop(&p.exprs, base)}, nil
 }
 
 // mapLiteral parses {"k": v, ...} and the bare-key sugar {k: v}. Newlines
@@ -723,21 +733,16 @@ func (p *parser) mapLiteral() (expr, error) {
 	saved := p.noMap
 	p.noMap = false
 	defer func() { p.noMap = saved }()
-	m := &mapLit{pos: open.pos}
+	base := len(p.entries)
 	p.skipNewlines()
 	for !p.isPunct("}") {
 		if p.peek().kind == tokEOF {
 			return nil, errAt(open.pos, "unterminated map literal")
 		}
-		var key expr
 		t := p.peek()
 		switch {
-		case t.kind == tokString:
+		case t.kind == tokString, t.kind == tokIdent && !keywords[t.text]:
 			p.next()
-			key = &strLit{pos: t.pos, val: t.text}
-		case t.kind == tokIdent && !keywords[t.text]:
-			p.next()
-			key = &strLit{pos: t.pos, val: t.text}
 		default:
 			return nil, errAt(t.pos, "expected map key (a string), found %s", t)
 		}
@@ -750,8 +755,7 @@ func (p *parser) mapLiteral() (expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.keys = append(m.keys, key)
-		m.vals = append(m.vals, v)
+		p.entries = append(p.entries, mapEntry{key: t.text, pos: t.pos, val: v})
 		p.skipNewlines()
 		if p.isPunct(",") {
 			p.next()
@@ -764,5 +768,5 @@ func (p *parser) mapLiteral() (expr, error) {
 		}
 	}
 	p.next() // }
-	return m, nil
+	return &mapLit{pos: open.pos, entries: pop(&p.entries, base)}, nil
 }

@@ -2,6 +2,8 @@ package script
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"act/internal/report"
 )
@@ -16,38 +18,89 @@ type List struct {
 	Elems []Value
 }
 
+// Len and Elem make a list a scenario.Array, so the wire decoder walks it.
+func (l *List) Len() int       { return len(l.Elems) }
+func (l *List) Elem(i int) any { return l.Elems[i] }
+
 // Map is a mutable string-keyed map that remembers insertion order, so
 // iteration and JSON encoding are deterministic — a requirement for
-// byte-identical surfaces and replayable step counts.
+// byte-identical surfaces and replayable step counts. Keys and values sit
+// in two parallel slices; a map has no delete, so an entry keeps its
+// position for life. Small maps (scenarios, result documents) find a key
+// by scanning; past mapIndexMin keys an index takes over.
 type Map struct {
-	keys []string
-	vals map[string]Value
+	keys  []string
+	vals  []Value
+	index map[string]int // nil until len(keys) > mapIndexMin
 }
 
+// mapIndexMin is the most keys a map finds by scanning alone.
+const mapIndexMin = 8
+
 // NewMap returns an empty ordered map.
-func NewMap() *Map {
-	return &Map{vals: map[string]Value{}}
+func NewMap() *Map { return &Map{} }
+
+// newMapCap returns an empty ordered map with room for n entries.
+func newMapCap(n int) *Map {
+	return &Map{keys: make([]string, 0, n), vals: make([]Value, 0, n)}
 }
 
 // Len returns the number of entries.
 func (m *Map) Len() int { return len(m.keys) }
 
+// Member returns entry i, making a map a scenario.Object.
+func (m *Map) Member(i int) (string, any) { return m.keys[i], m.vals[i] }
+
 // Keys returns the keys in insertion order. The slice is shared; callers
 // must not mutate it.
 func (m *Map) Keys() []string { return m.keys }
 
+// find returns key's position, or -1.
+func (m *Map) find(key string) int {
+	if m.index != nil {
+		if i, ok := m.index[key]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, k := range m.keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
+}
+
 // Get returns the value for key and whether it exists.
 func (m *Map) Get(key string) (Value, bool) {
-	v, ok := m.vals[key]
-	return v, ok
+	if i := m.find(key); i >= 0 {
+		return m.vals[i], true
+	}
+	return nil, false
 }
 
 // Set inserts or overwrites key. A new key appends to the order.
 func (m *Map) Set(key string, v Value) {
-	if _, ok := m.vals[key]; !ok {
-		m.keys = append(m.keys, key)
+	if i := m.find(key); i >= 0 {
+		m.vals[i] = v
+		return
 	}
-	m.vals[key] = v
+	m.add(key, v)
+}
+
+// add appends key, which the map does not hold.
+func (m *Map) add(key string, v Value) {
+	m.keys = append(m.keys, key)
+	m.vals = append(m.vals, v)
+	switch n := len(m.keys); {
+	case m.index != nil:
+		m.index[key] = n - 1
+	case n > mapIndexMin:
+		m.index = make(map[string]int, 2*n)
+		for i, k := range m.keys {
+			m.index[k] = i
+		}
+	}
 }
 
 // Func is a user-defined function closing over its definition
@@ -140,12 +193,12 @@ func deepEqual(a, b Value, depth int) (bool, error) {
 		if len(x.keys) != len(y.keys) {
 			return false, nil
 		}
-		for _, k := range x.keys {
-			yv, ok := y.vals[k]
+		for i, k := range x.keys {
+			yv, ok := y.Get(k)
 			if !ok {
 				return false, nil
 			}
-			eq, err := deepEqual(x.vals[k], yv, depth+1)
+			eq, err := deepEqual(x.vals[i], yv, depth+1)
 			if err != nil || !eq {
 				return false, err
 			}
@@ -179,8 +232,8 @@ func sizeOf(v Value, depth int) (int64, error) {
 		return n, nil
 	case *Map:
 		n := int64(48)
-		for _, k := range x.keys {
-			s, err := sizeOf(x.vals[k], depth+1)
+		for i, k := range x.keys {
+			s, err := sizeOf(x.vals[i], depth+1)
 			if err != nil {
 				return 0, err
 			}
@@ -211,14 +264,13 @@ func deepCopy(v Value, depth int) (Value, error) {
 		}
 		return out, nil
 	case *Map:
-		out := &Map{keys: make([]string, len(x.keys)), vals: make(map[string]Value, len(x.keys))}
-		copy(out.keys, x.keys)
-		for _, k := range x.keys {
-			c, err := deepCopy(x.vals[k], depth+1)
+		out := &Map{keys: slices.Clone(x.keys), vals: make([]Value, len(x.vals)), index: maps.Clone(x.index)}
+		for i, v := range x.vals {
+			c, err := deepCopy(v, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			out.vals[k] = c
+			out.vals[i] = c
 		}
 		return out, nil
 	default:
@@ -283,7 +335,7 @@ func appendValueJSON(buf []byte, v Value, indent int) ([]byte, error) {
 			buf = report.AppendJSONString(buf, k)
 			buf = append(buf, colon...)
 			var err error
-			if buf, err = appendValueJSON(buf, x.vals[k], inner); err != nil {
+			if buf, err = appendValueJSON(buf, x.vals[i], inner); err != nil {
 				return nil, err
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 
@@ -66,28 +65,36 @@ func (s *Server) body(w http.ResponseWriter, r *http.Request) io.Reader {
 	return http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 }
 
-// readJSON reads the bounded body whole and decodes one JSON document
-// into v, rejecting unknown fields. what names the document in a parse
-// error ("script request").
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, what string, v any) error {
-	body, err := s.readBody(w, r)
-	if err != nil {
-		return err
-	}
-	return decodeJSON(body, what, v)
-}
-
-// readBody reads the bounded body whole.
+// readBody reads the bounded body whole. A declared Content-Length sizes
+// the buffer up front, capped at the body limit, so a truthful body is
+// read without regrowing and a lying one cannot make the server allocate
+// past the limit; an unknown length (-1) grows from 512 bytes, as
+// io.ReadAll does. The one spare byte lets the final read see EOF.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(s.body(w, r))
-	if err != nil {
-		return nil, badRequest(fmt.Errorf("reading request body: %w", err))
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, max(s.cfg.MaxBodyBytes, 0)) + 1
 	}
-	return body, nil
+	body, buf := s.body(w, r), make([]byte, 0, size)
+	for {
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, badRequest(fmt.Errorf("reading request body: %w", err))
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
 }
 
-// decodeJSON is readJSON's decode: encoding/json, unknown fields
-// rejected. It is the oracle a route's fast decoder falls back to.
+// decodeJSON decodes one JSON document into v with encoding/json,
+// rejecting unknown fields; what names the document in a parse error
+// ("script request"). It is the oracle a route's fast decoder falls back
+// to.
 func decodeJSON(body []byte, what string, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -106,12 +113,4 @@ func (s *Server) retryPolicy(seed uint64) resilience.RetryPolicy {
 		Seed:        seed + 1, // never 0: 0 selects the package default
 		OnRetry:     func(int, error) { s.mRetries.Inc() },
 	}
-}
-
-// fnvHash folds a string (a script's source) into a 64-bit retry-jitter
-// seed.
-func fnvHash(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	return h.Sum64()
 }

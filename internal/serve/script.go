@@ -39,6 +39,29 @@ type scriptRequest struct {
 	Source string `json:"source"`
 }
 
+var scriptKeys = []string{"version", "source"}
+
+// decodeScript decodes a script body in one pass through the scenario
+// package's fast decoder, each case mirroring a json tag above. A body
+// that leaves the decoder's subset (see scenario/fastwire.go) goes to
+// decodeJSON instead, which then answers, errors included.
+func decodeScript(body []byte) (req scriptRequest, err error) {
+	d := scenario.NewFastDecoder(body)
+	d.Object(scriptKeys, func(key string) {
+		switch key {
+		case "version":
+			req.Version = d.Int()
+		case "source":
+			req.Source = d.String()
+		}
+	})
+	if d.End() {
+		return req, nil
+	}
+	req = scriptRequest{}
+	return req, decodeJSON(body, "script request", &req)
+}
+
 // scriptBudget resolves the server's script budget from config, leaving
 // zero fields to the interpreter's documented defaults.
 func (s *Server) scriptBudget() script.Budget {
@@ -60,8 +83,12 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) (err error
 		}
 		s.mScriptEvals.With(det.Code).Add(1)
 	}()
-	var req scriptRequest
-	if err := s.readJSON(w, r, "script request", &req); err != nil {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return err
+	}
+	req, err := decodeScript(body)
+	if err != nil {
 		return err
 	}
 	if req.Version != 0 && req.Version != scenario.Version {
@@ -73,7 +100,7 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) (err error
 
 	opts := script.Options{Budget: s.scriptBudget()}
 	start := time.Now()
-	res, err := resilience.Retry(r.Context(), s.retryPolicy(fnvHash(req.Source)),
+	res, err := resilience.Retry(r.Context(), s.retryPolicy(uint64(len(req.Source))),
 		func(ctx context.Context, _ int) (*script.Result, error) {
 			return script.Eval(ctx, req.Source, opts)
 		})

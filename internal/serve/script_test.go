@@ -3,7 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -211,5 +213,74 @@ func TestScriptUnencodableResultCountedOnce(t *testing.T) {
 	if !strings.Contains(expo, `actd_script_evals_total{code="invalid_script"} 1`) ||
 		strings.Contains(expo, `actd_script_evals_total{code="ok"}`) {
 		t.Errorf("script outcome counters wrong:\n%s", expo)
+	}
+}
+
+// FuzzScriptRequestDecode holds decodeScript, the one-pass body decode
+// with its decodeJSON fallback, to decodeJSON alone: the same request, or
+// the same error text.
+func FuzzScriptRequestDecode(f *testing.F) {
+	for _, s := range []string{
+		`{"source":"1"}`,
+		`{"version":1,"source":"let x = \"a\\nb\"\n# é &\nx"}`,
+		` { "source" : "x" , "version" : 0 } `,
+		`{"source":"😀 \ud800  "}`,
+		`{"source":""}`,
+		`{}`,
+		`{"version":2,"source":"x"}`,
+		`{"version":1.5,"source":"x"}`,
+		`{"version":99999999999999999999}`,
+		`{"Source":"x"}`,
+		`{"source":null}`,
+		`{"source":1}`,
+		`{"source":"x","source":"y"}`,
+		`{"source":"x"} trailing`,
+		`{"source":"x"}{}`,
+		`{"bogus":1}`,
+		"{\"source\":\"\xff\"}",
+		"{\"source\":\"a\x00b\"}",
+		`{"source":"\q"}`,
+		`{"source":"x`,
+		`[]`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, gerr := decodeScript(data)
+		var want scriptRequest
+		werr := decodeJSON(data, "script request", &want)
+		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+			t.Fatalf("decoding %q: error %v, oracle %v", data, gerr, werr)
+		}
+		if werr == nil && got != want {
+			t.Fatalf("decoding %q: %+v, oracle %+v", data, got, want)
+		}
+	})
+}
+
+// TestReadBodyContentLength: the body reads whole whatever Content-Length
+// declares, and a declared length past the limit sizes the buffer at the
+// limit, not at the claim.
+func TestReadBodyContentLength(t *testing.T) {
+	const limit = 64
+	s := New(Config{MaxBodyBytes: limit, Logger: discardLogger()})
+	body := strings.Repeat("b", 40)
+	for _, cl := range []int64{-1, 0, 10, 40, 41, limit, 1 << 40} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/script", strings.NewReader(body))
+		r.ContentLength = cl
+		got, err := s.readBody(httptest.NewRecorder(), r)
+		if err != nil || string(got) != body {
+			t.Fatalf("Content-Length %d: read %q, %v", cl, got, err)
+		}
+		if cl >= 40 && cap(got) > int(min(cl, limit))+1 {
+			t.Fatalf("Content-Length %d: buffer capacity %d", cl, cap(got))
+		}
+	}
+	r := httptest.NewRequest(http.MethodPost, "/v1/script", strings.NewReader(strings.Repeat("b", limit+1)))
+	var tooLarge *http.MaxBytesError
+	if _, err := s.readBody(httptest.NewRecorder(), r); !errors.As(err, &tooLarge) {
+		t.Fatalf("a body past the limit read with %v, want *http.MaxBytesError", err)
 	}
 }

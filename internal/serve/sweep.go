@@ -67,7 +67,7 @@ var (
 // fastSweep decodes a sweep body in one pass through the scenario
 // package's fast decoder; each case mirrors a json tag above. ok is false
 // when the body left the decoder's subset (see scenario/fastwire.go):
-// readJSON's encoding/json decode is then the answer, errors included.
+// decodeJSON's encoding/json decode is then the answer, errors included.
 func fastSweep(body []byte) (req sweepRequest, ok bool) {
 	d := scenario.NewFastDecoder(body)
 	strs := func() []string {
@@ -110,7 +110,7 @@ func fastSweep(body []byte) (req sweepRequest, ok bool) {
 
 // handleSweep ranks candidate design points under the requested Table 2
 // metrics and/or reduces them to a Pareto frontier. The body goes through
-// fastSweep first and, when that declines, through readJSON's decode.
+// fastSweep first and, when that declines, through decodeJSON.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	body, err := s.readBody(w, r)
 	if err != nil {

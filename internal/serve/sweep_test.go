@@ -61,7 +61,7 @@ func TestSweepFastAndOracleAgree(t *testing.T) {
 	}
 }
 
-// FuzzSweepDecode holds fastSweep to readJSON's encoding/json decode:
+// FuzzSweepDecode holds fastSweep to decodeJSON's encoding/json decode:
 // whatever the fast path accepts, the oracle accepts and decodes to the
 // same request, and a body the oracle refuses never passes the fast path.
 func FuzzSweepDecode(f *testing.F) {
