@@ -84,8 +84,9 @@ cover:
 # ingest stream, both wire-envelope fuzzers, the three fast-decoder
 # differentials (single scenario, batch, fleet device line) that hold the
 # hand-written decoder to encoding/json, the fleet top-K differential
-# (random upserts, removes, recomputes and restores, with the bounded
-# per-shard selection held to a sort-everything oracle for a random k),
+# (random upserts, removes, recomputes and restores, with the one-scan
+# heap over the shards' dense totals columns held to a sort-everything
+# oracle for a random k, and the columns to the id map, after every op),
 # the script interpreter's parse/eval pair (the eval fuzzer runs
 # whole adversarial programs under tight budgets and must terminate
 # without panics or hangs), the script lexer held to its pre-tuning
@@ -151,12 +152,16 @@ bench-cache:
 # ingest time and heap per device for shared, unique and respelled BoMs
 # (BenchmarkFleetIngestBoMs), plus a full reprice (FleetRecompute, seconds
 # per op), and the replace body perfbench's fleet workload sends through
-# the whole ingest handler (BenchmarkFleetIngestHandler, per body). It
-# asserts nothing: the <10ms summary bound is read from its output. The
-# summary's zero allocations are asserted in tier-1 by
-# TestSummaryZeroAllocs. Recorded as BENCH_26.json (ingest).
+# the whole ingest handler (BenchmarkFleetIngestHandler, per body), and
+# top-10 over a perfbench-shaped 20 000-device fleet in process
+# (BenchmarkFleetTopK20k) and through the summary handler
+# (BenchmarkFleetTopHandler). It asserts nothing: the <10ms summary bound
+# is read from its output. The summary's zero allocations and top-K's
+# constant few are asserted in tier-1 by TestSummaryZeroAllocs and
+# TestTopKAllocs. Recorded as BENCH_26.json (ingest) and BENCH_29.json
+# (top-K).
 bench-fleet:
-	$(BENCHSH) -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK|Recompute)' ./internal/fleet/ ./internal/serve/
+	$(BENCHSH) -bench 'Fleet(Ingest|Summary|SummaryGrouped|TopK|TopHandler|Recompute)' ./internal/fleet/ ./internal/serve/
 
 # The columnar engine: BenchmarkColBatchEvalCorpus times the traffic
 # perfbench sends (distinct 256-scenario corpus batches); EvalSweep and

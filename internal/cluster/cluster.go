@@ -211,11 +211,7 @@ func (c *Cluster) LocalPartial(topK int, groupBy string) (Partial, error) {
 		BoMHashes:   c.reg.BoMKeyHashes(),
 	}
 	if topK > 0 {
-		doc, err := c.reg.Query(fleet.Query{TopK: topK})
-		if err != nil {
-			return Partial{}, err
-		}
-		p.Top = doc.Top
+		p.Top = c.reg.TopK(topK)
 	}
 	return p, nil
 }

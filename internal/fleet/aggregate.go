@@ -1,11 +1,11 @@
 // Incremental aggregation queries. A summary folds the per-shard running
 // totals in shard order — O(shards) work however many devices are
 // registered — and group-by merges the per-shard group maps the same way.
-// Top-K is the one O(devices) query: each shard, on a parsweep worker,
-// keeps a bounded selection of its min(k, devices) best records, and only
-// those become documents, which MergeTop merges. The fold
-// (SummaryFold) and the top-K merge (MergeTop) are exported because the
-// cluster's scatter-gather runs them too, over gathered shard aggregates.
+// Top-K is the one O(devices) query: one sequential scan of every shard's
+// dense totals column feeds a heap of the min(k, devices) best records,
+// and only those become documents. The fold (SummaryFold) and the top-K
+// merge of per-node lists (MergeTop) are exported because the cluster's
+// scatter-gather runs them too, over gathered shard aggregates.
 
 package fleet
 
@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"act/internal/acterr"
-	"act/internal/parsweep"
 	"act/internal/report"
 )
 
@@ -64,10 +63,7 @@ func (r *Registry) Query(q Query) (report.FleetSummaryJSON, error) {
 		f.addShard(sh)
 		sh.mu.Unlock()
 	}
-	var top []report.FleetDeviceJSON
-	if q.TopK > 0 {
-		top = r.topK(q.TopK)
-	}
+	top := r.topK(q.TopK)
 	r.boms.mu.Lock()
 	distinct := len(r.boms.keys) // canonical keys, not spellings
 	r.boms.mu.Unlock()
@@ -175,74 +171,88 @@ func (f *SummaryFold) Finish(distinctBoMs int, top []report.FleetDeviceJSON) rep
 	return doc
 }
 
-// topK returns the K largest emitters (per-device total grams, ties broken
-// by id so the answer is deterministic). Each shard selects its own best
-// records on a parsweep worker and documents only those; MergeTop keeps
-// the best K. The caller read-holds r.mu.
-func (r *Registry) topK(k int) []report.FleetDeviceJSON {
-	perShard := parsweep.Map(r.cfg.Workers, r.shards, func(_ int, sh *shard) []report.FleetDeviceJSON {
-		sh.mu.Lock()
-		best := selectTop(sh.recs, k)
-		sh.mu.Unlock()
-		out := make([]report.FleetDeviceJSON, len(best))
-		for i, rec := range best {
-			out[i] = report.FleetDeviceJSON{
-				ID:             rec.id,
-				Region:         canon(rec.region),
-				Node:           rec.bom.node,
-				EmbodiedG:      rec.contrib.embodiedG,
-				EmbodiedShareG: rec.contrib.embodiedShareG,
-				OperationalG:   rec.contrib.operationalG,
-				TotalG:         rec.contrib.totalG(),
-			}
-		}
-		return out
-	})
-	return MergeTop(k, perShard...)
+// TopK returns the K largest emitters (per-device total grams, ties
+// broken by id so the answer is deterministic), the list a Query with
+// TopK: k carries.
+func (r *Registry) TopK(k int) []report.FleetDeviceJSON {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.topK(k)
 }
 
-// selectTop returns the min(k, len(recs)) records that rank first, in rank
-// order. The kept set is a heap with its worst-ranked record at the root,
-// so a record that cannot displace the root costs one comparison. The
-// buffer is sized by the shard too: callers choose k without bound.
-func selectTop(recs map[string]*record, k int) []*record {
-	h := make([]*record, 0, min(k, len(recs)))
-	for _, rec := range recs {
-		if len(h) < cap(h) {
-			h = append(h, rec)
-			for i := len(h) - 1; i > 0 && rankCmp(h[i], h[(i-1)/2]) > 0; i = (i - 1) / 2 {
-				h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
-			}
-		} else if rankCmp(rec, h[0]) < 0 {
-			h[0] = rec
-			for i, c := 0, 1; c < len(h); i, c = c, 2*c+1 {
-				if c+1 < len(h) && rankCmp(h[c+1], h[c]) > 0 {
-					c++
-				}
-				if rankCmp(h[c], h[i]) <= 0 {
-					break
-				}
-				h[i], h[c] = h[c], h[i]
-			}
-		}
-	}
-	slices.SortFunc(h, rankCmp)
-	return h
+// ranked is a top-K candidate: a record and its total, as its shard's tot
+// column holds it.
+type ranked struct {
+	totalG float64
+	rec    *record
 }
 
-// rankCmp orders records as top-K lists do: descending total, ties by
+// rankCmp orders candidates as top-K lists do: descending total, ties by
 // ascending id. Ids are unique, so the order is strict.
-func rankCmp(a, b *record) int {
-	if c := cmp.Compare(b.contrib.totalG(), a.contrib.totalG()); c != 0 {
+func rankCmp(a, b ranked) int {
+	if c := cmp.Compare(b.totalG, a.totalG); c != 0 {
 		return c
 	}
-	return strings.Compare(a.id, b.id)
+	return strings.Compare(a.rec.id, b.rec.id)
+}
+
+// topK scans every shard's tot column once, in index order, keeping the
+// min(k, devices) best candidates in a heap with the worst-ranked at the
+// root: a device that cannot displace the root costs one float compare,
+// and its id is read only when its total ties the root's. Only the kept
+// records become documents. The caller read-holds r.mu.
+func (r *Registry) topK(k int) []report.FleetDeviceJSON {
+	if k <= 0 {
+		return nil
+	}
+	h := make([]ranked, 0, min(k, r.Len()))
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		for i, t := range sh.tot {
+			switch {
+			case len(h) < k:
+				h = append(h, ranked{t, sh.rows[i]})
+				for j := len(h) - 1; j > 0 && rankCmp(h[j], h[(j-1)/2]) > 0; j = (j - 1) / 2 {
+					h[j], h[(j-1)/2] = h[(j-1)/2], h[j]
+				}
+			case t < h[0].totalG:
+				// Ranks below the root: the common case.
+			case rankCmp(ranked{t, sh.rows[i]}, h[0]) < 0:
+				h[0] = ranked{t, sh.rows[i]}
+				for j, c := 0, 1; c < len(h); j, c = c, 2*c+1 {
+					if c+1 < len(h) && rankCmp(h[c+1], h[c]) > 0 {
+						c++
+					}
+					if rankCmp(h[c], h[j]) <= 0 {
+						break
+					}
+					h[j], h[c] = h[c], h[j]
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	slices.SortFunc(h, rankCmp)
+	out := make([]report.FleetDeviceJSON, len(h))
+	for i, c := range h {
+		rec := c.rec
+		out[i] = report.FleetDeviceJSON{
+			ID:             rec.id,
+			Region:         canon(rec.region),
+			Node:           rec.bom.node,
+			EmbodiedG:      rec.contrib.embodiedG,
+			EmbodiedShareG: rec.contrib.embodiedShareG,
+			OperationalG:   rec.contrib.operationalG,
+			TotalG:         c.totalG,
+		}
+	}
+	return out
 }
 
 // MergeTop merges emitter lists into the K largest, ordered by descending
 // total with ties broken by ascending id. When every list is its source's
-// own top K, the result is the top K of the union — which is how
-// per-shard and per-node lists merge into the fleet's.
+// own top K, the result is the top K of the union — which is how per-node
+// lists merge into the fleet's.
 func MergeTop(k int, lists ...[]report.FleetDeviceJSON) []report.FleetDeviceJSON {
 	n := 0
 	for _, l := range lists {
@@ -258,10 +268,10 @@ func MergeTop(k int, lists ...[]report.FleetDeviceJSON) []report.FleetDeviceJSON
 
 // sortEmitters orders devices by descending total, ties by ascending id.
 func sortEmitters(devs []report.FleetDeviceJSON) {
-	sort.Slice(devs, func(i, j int) bool {
-		if devs[i].TotalG != devs[j].TotalG {
-			return devs[i].TotalG > devs[j].TotalG
+	slices.SortFunc(devs, func(a, b report.FleetDeviceJSON) int {
+		if c := cmp.Compare(b.TotalG, a.TotalG); c != 0 {
+			return c
 		}
-		return devs[i].ID < devs[j].ID
+		return strings.Compare(a.ID, b.ID)
 	})
 }

@@ -197,9 +197,25 @@ func BenchmarkFleetSummaryGrouped(b *testing.B) {
 }
 
 // BenchmarkFleetTopK is the one O(devices) query, for contrast with the
-// O(shards) summary above.
+// O(shards) summary above. Its totals tie heavily, so ids break most
+// comparisons.
 func BenchmarkFleetTopK(b *testing.B) {
 	reg := millionFleet(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := reg.Query(Query{TopK: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFleetTopK20k is top-10 over a fleet shaped like perfbench's:
+// 20 000 devices whose totals are distinct, so ranking rarely reads an id
+// (BenchmarkFleetTopK's million devices share 64 totals instead).
+func BenchmarkFleetTopK20k(b *testing.B) {
+	reg := New(Config{Shards: 64})
+	variedFleet(b, reg, 20000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

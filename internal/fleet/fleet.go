@@ -117,6 +117,7 @@ type record struct {
 	utilization       float64
 	bom               *bom
 	contrib           contribution
+	row               int // index in its shard's rows and tot columns
 }
 
 // aggregate is one shard's running totals.
@@ -142,8 +143,13 @@ type groupAgg struct {
 
 // shard is one lock domain of the registry.
 type shard struct {
-	mu       sync.Mutex
-	recs     map[string]*record
+	mu   sync.Mutex
+	recs map[string]*record
+	// rows holds the same records as recs in a dense column, in no
+	// particular order, and tot[i] is rows[i].contrib.totalG(): top-K
+	// scans tot without chasing a pointer per record.
+	rows     []*record
+	tot      []float64
 	agg      aggregate
 	byRegion map[string]*groupAgg
 	byNode   map[string]*groupAgg
@@ -157,6 +163,34 @@ func newShard() *shard {
 		byNode:   map[string]*groupAgg{},
 		byClass:  map[string]*groupAgg{},
 	}
+}
+
+// put files rec under its id: a replaced record's row is overwritten in
+// place, a new id appends a row. It returns the replaced record, or nil.
+// The caller holds sh.mu.
+func (sh *shard) put(rec *record) *record {
+	old := sh.recs[rec.id]
+	if old != nil {
+		rec.row = old.row
+	} else {
+		rec.row = len(sh.rows)
+		sh.rows, sh.tot = append(sh.rows, nil), append(sh.tot, 0)
+	}
+	sh.recs[rec.id] = rec
+	sh.rows[rec.row], sh.tot[rec.row] = rec, rec.contrib.totalG()
+	return old
+}
+
+// drop unfiles rec: the last row moves into its place. The caller holds
+// sh.mu.
+func (sh *shard) drop(rec *record) {
+	delete(sh.recs, rec.id)
+	last := len(sh.rows) - 1
+	moved := sh.rows[last]
+	moved.row = rec.row
+	sh.rows[rec.row], sh.tot[rec.row] = moved, sh.tot[last]
+	sh.rows[last] = nil
+	sh.rows, sh.tot = sh.rows[:last], sh.tot[:last]
 }
 
 // applyLocked folds rec into (sign=+1) or out of (sign=-1) the shard's
@@ -220,8 +254,8 @@ type Config struct {
 	// Resolver maps regions to operational intensity (default
 	// StaticRegions).
 	Resolver IntensityResolver
-	// Workers bounds the parsweep fan-out of Recompute and TopK queries
-	// (default GOMAXPROCS).
+	// Workers bounds the parsweep fan-out of Recompute (default
+	// GOMAXPROCS).
 	Workers int
 }
 
@@ -336,20 +370,19 @@ func (r *Registry) apply(rec *record, logIt bool) (replaced bool, err error) {
 			return false, fmt.Errorf("fleet: write-ahead log: %w", err)
 		}
 	}
-	old, existed := sh.recs[rec.id]
-	if existed {
+	rec.bom = r.boms.retain(rec.bom, rec.contrib.embodiedG)
+	old := sh.put(rec)
+	if old != nil {
 		sh.applyLocked(old, -1)
 	} else {
 		r.count.Add(1)
 	}
 	r.gen.Add(1)
-	rec.bom = r.boms.retain(rec.bom, rec.contrib.embodiedG)
-	sh.recs[rec.id] = rec
 	sh.applyLocked(rec, +1)
-	if existed {
+	if old != nil {
 		r.boms.release(old.bom)
 	}
-	return existed, nil
+	return old != nil, nil
 }
 
 // Remove unregisters a device, subtracting its contribution from the
@@ -376,7 +409,7 @@ func (r *Registry) remove(id string, logIt bool) (bool, error) {
 			return false, fmt.Errorf("fleet: write-ahead log: %w", err)
 		}
 	}
-	delete(sh.recs, id)
+	sh.drop(rec)
 	sh.applyLocked(rec, -1)
 	r.count.Add(-1)
 	r.gen.Add(1)

@@ -149,7 +149,7 @@ func (r *Registry) stageLocked(ctx context.Context) ([]*shard, map[string]float6
 				return nil, fmt.Errorf("fleet: recompute device %q: %w", id, err)
 			}
 			rec.contrib = contributionOf(&rec, embodied[rec.bom.key], ci)
-			ns.recs[id] = &rec
+			ns.put(&rec)
 			ns.applyLocked(&rec, +1)
 		}
 		return ns, nil

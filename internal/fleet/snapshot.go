@@ -183,7 +183,7 @@ func decodeShard(d *reader, boms *bomTable) (*shard, error) {
 			return nil, err
 		}
 		rec.bom = boms.retain(rec.bom, rec.contrib.embodiedG)
-		sh.recs[rec.id] = rec
+		sh.put(rec)
 		// The class dimension is derived from the scenario, not persisted:
 		// rebuild it here, folding in the stream's sorted-by-id record order
 		// so a restore is deterministic. (Unlike the persisted byRegion and

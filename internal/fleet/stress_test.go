@@ -92,6 +92,7 @@ func TestConcurrentShardConsistency(t *testing.T) {
 	}
 	wg.Wait()
 	checkBoMTable(t, reg)
+	checkRows(t, reg)
 
 	doc := reg.Summary()
 	if doc.Devices != reg.Len() {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"act/internal/report"
@@ -46,8 +47,8 @@ func shardTopOracle(sh *shard, k int) []report.FleetDeviceJSON {
 }
 
 // checkTopK compares the served top-K list with the oracle's for k, and
-// each shard's own selection with that shard's sorted prefix (a selection
-// bug can hide behind the merge when other shards cover for it).
+// holds every shard's row columns to its records (checkRows): the scan
+// reads only the columns, so a stale row would hide a record from it.
 func checkTopK(t testing.TB, reg *Registry, k int) {
 	t.Helper()
 	doc, err := reg.Query(Query{TopK: k})
@@ -61,18 +62,42 @@ func checkTopK(t testing.TB, reg *Registry, k int) {
 	if n := min(k, reg.Len()); len(doc.Top) != n {
 		t.Fatalf("top-%d returned %d devices, want %d", k, len(doc.Top), n)
 	}
+	checkRows(t, reg)
+}
+
+// checkRows holds each shard's dense columns to its id index: one row per
+// record and per counted device, each record at the row it names, and
+// each tot entry bit-identical to its record's total.
+func checkRows(t testing.TB, reg *Registry) {
+	t.Helper()
+	reg.mu.RLock()
+	defer reg.mu.RUnlock()
 	for i, sh := range reg.shards {
 		sh.mu.Lock()
-		sel := selectTop(sh.recs, k)
+		err := shardRowsErr(sh)
 		sh.mu.Unlock()
-		got := make([]string, len(sel))
-		for j, rec := range sel {
-			got[j] = rec.id
-		}
-		if want := ids(shardTopOracle(sh, k)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("shard %d top-%d differs from its sorted prefix:\ngot  %v\nwant %v", i, k, got, want)
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
 		}
 	}
+}
+
+func shardRowsErr(sh *shard) error {
+	if len(sh.rows) != len(sh.recs) || len(sh.tot) != len(sh.rows) || int64(len(sh.rows)) != sh.agg.devices {
+		return fmt.Errorf("%d rows, %d totals, %d records, %d devices",
+			len(sh.rows), len(sh.tot), len(sh.recs), sh.agg.devices)
+	}
+	for id, rec := range sh.recs {
+		if rec.row < 0 || rec.row >= len(sh.rows) || sh.rows[rec.row] != rec {
+			return fmt.Errorf("record %s names row %d, which holds another", id, rec.row)
+		}
+	}
+	for i, rec := range sh.rows {
+		if want := rec.contrib.totalG(); math.Float64bits(sh.tot[i]) != math.Float64bits(want) {
+			return fmt.Errorf("row %d (%s) total %v, record's %v", i, rec.id, sh.tot[i], want)
+		}
+	}
+	return nil
 }
 
 func ids(devs []report.FleetDeviceJSON) []string {
@@ -94,6 +119,7 @@ func tiedFleet(t testing.TB, reg *Registry, n int) {
 		if _, err := reg.Upsert(dev); err != nil {
 			t.Fatal(err)
 		}
+		checkRows(t, reg)
 	}
 }
 
@@ -130,11 +156,13 @@ func TestTopKMatchesOracle(t *testing.T) {
 		if _, err := reg.Upsert(dev); err != nil {
 			t.Fatal(err)
 		}
+		checkRows(t, reg)
 	}
 	for i := 1; i < 60; i += 6 {
 		if _, err := reg.Remove(fmt.Sprintf("dev-%03d", i)); err != nil {
 			t.Fatal(err)
 		}
+		checkRows(t, reg)
 	}
 	check("churn")
 
@@ -161,13 +189,62 @@ func TestTopKMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestTopKUnboundedK asks for far more emitters than exist. The per-shard
-// buffers are sized by the shard, so the query allocates nothing near k
-// and answers every device, in rank order (checkTopK checks both).
+// TestTopKUnboundedK asks for far more emitters than exist. The candidate
+// heap is sized by the device count, so the query allocates nothing near
+// k and answers every device, in rank order (checkTopK checks both).
 func TestTopKUnboundedK(t *testing.T) {
 	reg := New(Config{Shards: 4})
 	tiedFleet(t, reg, 12)
 	checkTopK(t, reg, math.MaxInt32)
+
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := reg.Query(Query{TopK: math.MaxInt32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per, limit := (after.TotalAlloc-before.TotalAlloc)/runs, uint64(512*reg.Len()); per > limit {
+		t.Fatalf("top=MaxInt32 allocates %d bytes per query over %d devices, want at most %d",
+			per, reg.Len(), limit)
+	}
+}
+
+// variedFleet registers n devices shaped like the perfbench fleet: 32
+// BoMs, nine regions, and a utilization and retire date that vary per
+// device, so totals are distinct and a top-K scan rarely reads an id.
+func variedFleet(t testing.TB, reg *Registry, n int) {
+	t.Helper()
+	regions := []string{"world", "india", "australia", "taiwan", "singapore", "united-states", "europe", "brazil", "iceland"}
+	for i := 0; i < n; i++ {
+		dev := testDevice(fmt.Sprintf("dev-%06d", i), i%32, regions[(i*7)%len(regions)])
+		dev.Utilization = float64(50+(i*37)%951) / 1000
+		dev.Retired = testEpoch.Add(units.Years(0.5 + float64((i*13)%1000)/250))
+		if _, err := reg.Upsert(dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTopKAllocs holds a top-10 query to a few allocations, the same at
+// 2 000 and at 20 000 devices: the candidate heap and the ten documents,
+// nothing per shard or per device.
+func TestTopKAllocs(t *testing.T) {
+	var got []float64
+	for _, n := range []int{2000, 20000} {
+		reg := New(Config{})
+		variedFleet(t, reg, n)
+		got = append(got, testing.AllocsPerRun(20, func() {
+			if _, err := reg.Query(Query{TopK: 10}); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if got[0] != got[1] || got[1] > 2 {
+		t.Fatalf("top-10 allocates %v times at 2 000 devices and %v at 20 000, want the same, at most 2", got[0], got[1])
+	}
 }
 
 // FuzzFleetTopK drives a registry through a random op sequence — upserts
@@ -178,6 +255,11 @@ func FuzzFleetTopK(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint32(3))
 	f.Add([]byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x76, 0x87, 0x98, 0xa9, 0x02, 0x13}, uint32(0x80000000))
 	f.Add(bytes.Repeat([]byte{0x04, 0x44, 0x84, 0xc4}, 8), uint32(1))
+	// Remove-heavy: eight devices, then removes from the newest back (each
+	// drops its shard's last row, and finally its only one), then again
+	// from the oldest on (each moves the last row into the hole).
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 0x87, 0x86, 0x85, 0x84, 0x83, 0x82, 0x81, 0x80,
+		0, 1, 2, 3, 4, 5, 6, 7, 0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0x87}, uint32(2))
 	regions := []string{"united-states", "europe", "india"}
 	f.Fuzz(func(t *testing.T, ops []byte, kRaw uint32) {
 		if len(ops) > 256 {
