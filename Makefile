@@ -20,12 +20,15 @@ test:
 # benchmark replays fails here, not in the benchmark run. gofmt -l lists
 # every file whose layout drifts from gofmt's; any listing fails. sh -n
 # parses every script, so a syntax slip fails here, not in a bench run.
-# The coverage floors run last, so a package that falls below its floor
-# fails the commit that drops it.
+# The faultinject vet builds the chaos-tagged files (hooks and chaos
+# tests) without running them, so a change that breaks them fails here,
+# not only in verify-chaos. The coverage floors run last, so a package
+# that falls below its floor fails the commit that drops it.
 verify: build
 	@drift="$$($(GOFMT) -l .)"; if [ -n "$$drift" ]; then echo "gofmt drift:"; echo "$$drift"; exit 1; fi
 	@for f in scripts/*.sh; do sh -n "$$f" || exit 1; done
 	$(GO) vet ./...
+	$(GO) vet -tags faultinject ./...
 	cd perfbench && $(GO) vet ./...
 	$(GO) test ./...
 	$(MAKE) cover

@@ -7,13 +7,13 @@
 //
 //	actd [-addr :8080] [-workers N] [-max-batch N] [-cache-size N]
 //	     [-timeout 30s] [-grace 15s] [-max-inflight N] [-max-queue N]
-//	     [-retries N] [-breaker-threshold N] [-breaker-open 5s]
 //	     [-fleet-shards N] [-fleet-snapshot PATH] [-fleet-wal DIR]
 //	     [-fleet-wal-segment-bytes N] [-fleet-compact-interval 5m]
 //	     [-export-url URL[,URL...]] [-export-interval 10s]
 //	     [-export-rate BYTES/S] [-export-queue-depth N] [-export-workers N]
 //	     [-script-max-steps N] [-script-max-bytes N] [-script-timeout 5s]
 //	     [-cluster-peers URL[,URL...] -cluster-self URL] [-cluster-vnodes N]
+//	     [-retries N] [-breaker-threshold N] [-breaker-open 5s]
 //
 // Endpoints:
 //
@@ -27,7 +27,7 @@
 //	GET    /v1/export/config      telemetry exporter tuning (404 without -export-url)
 //	PUT    /v1/export/config      retune interval/rate under optimistic concurrency
 //	GET    /healthz               liveness (always 200 while the process serves)
-//	GET    /readyz                readiness (503 while draining or a breaker is open)
+//	GET    /readyz                readiness (503 while draining or the fleet store is degraded)
 //	GET    /metrics               Prometheus text metrics
 //
 // With -fleet-snapshot/-fleet-wal the fleet registry is durable: boot
@@ -50,7 +50,11 @@
 // and /v1/fleet/recompute runs a cluster-wide two-phase recompute. With a
 // member unreachable, summaries answer 206 with the `partial` error code
 // and the reachable members' fold. Every member must be started with the
-// same -cluster-peers list and the same -fleet-shards count.
+// same -cluster-peers list and the same -fleet-shards count. Each peer RPC
+// gets -retries attempts, and each peer a circuit breaker that opens after
+// -breaker-threshold failed calls in a row and probes again after
+// -breaker-open. actd's own evaluation is neither retried nor broken: the
+// model is deterministic, so a failed evaluation is answered at once.
 //
 // With -export-url actd pushes fleet carbon telemetry (Prometheus line
 // protocol, gzip) to the named collector endpoints every -export-interval,
@@ -114,9 +118,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		grace      = fs.Duration("grace", 15*time.Second, "shutdown drain deadline (0 or negative = give up the drain at once)")
 		maxInFl    = fs.Int("max-inflight", 0, "max concurrently running requests (0 = default 256, negative disables admission control)")
 		maxQueue   = fs.Int("max-queue", 0, "max requests waiting for a slot (0 = default 2x max-inflight, negative = none wait: shed when every slot is busy)")
-		retries    = fs.Int("retries", 0, "attempts per transient-fault retry loop (0 = default 3, 1 or negative disables retries)")
-		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive 5xx before a handler's breaker opens (0 = default 5, negative disables)")
-		brkOpenFor = fs.Duration("breaker-open", 0, "how long an open breaker rejects before probing (0 = default 5s, negative = probe on the next request)")
+		retries    = fs.Int("retries", 0, "attempts per cluster peer RPC (0 = default 3, 1 or negative disables retries)")
+		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive failed cluster peer RPCs before that peer's breaker opens (0 = default 5, negative disables)")
+		brkOpenFor = fs.Duration("breaker-open", 0, "how long an open cluster peer breaker rejects before probing (0 = default 5s, negative = probe on the next call)")
 		flShards   = fs.Int("fleet-shards", 0, "fleet registry shard count (0 or negative = default 64)")
 		flSnapshot = fs.String("fleet-snapshot", "", "fleet snapshot path (empty = in-memory fleet)")
 		flWAL      = fs.String("fleet-wal", "", "fleet write-ahead log directory (empty = in-memory fleet)")
@@ -142,20 +146,17 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	}
 	opts := options{
 		serve: serve.Config{
-			Addr:             *addr,
-			Workers:          *workers,
-			MaxBatch:         *maxBatch,
-			CacheSize:        *cacheSize,
-			RequestTimeout:   *timeout,
-			MaxInFlight:      *maxInFl,
-			MaxQueue:         *maxQueue,
-			RetryAttempts:    *retries,
-			BreakerThreshold: *brkThresh,
-			BreakerOpenFor:   *brkOpenFor,
-			FleetShards:      *flShards,
-			ScriptMaxSteps:   *scSteps,
-			ScriptMaxBytes:   *scBytes,
-			ScriptTimeout:    *scTimeout,
+			Addr:           *addr,
+			Workers:        *workers,
+			MaxBatch:       *maxBatch,
+			CacheSize:      *cacheSize,
+			RequestTimeout: *timeout,
+			MaxInFlight:    *maxInFl,
+			MaxQueue:       *maxQueue,
+			FleetShards:    *flShards,
+			ScriptMaxSteps: *scSteps,
+			ScriptMaxBytes: *scBytes,
+			ScriptTimeout:  *scTimeout,
 		},
 		grace: *grace,
 		durability: serve.FleetDurability{
@@ -172,9 +173,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 			Workers:         *expWorkers,
 		},
 		cluster: serve.ClusterConfig{
-			Self:   *clSelf,
-			Peers:  splitURLs(*clPeers),
-			Vnodes: *clVnodes,
+			Self:             *clSelf,
+			Peers:            splitURLs(*clPeers),
+			Vnodes:           *clVnodes,
+			RetryAttempts:    *retries,
+			BreakerThreshold: *brkThresh,
+			BreakerOpenFor:   *brkOpenFor,
 		},
 	}
 	if err := opts.export.Validate(); err != nil {

@@ -56,3 +56,18 @@ func TestParseFlagsAcceptsDefaultsAndZeros(t *testing.T) {
 		t.Errorf("export URLs = %q", got)
 	}
 }
+
+// TestParseFlagsPeerResilience checks that -retries and -breaker-* fill
+// the cluster configuration: they tune the peer client, the only caller
+// that retries or breaks.
+func TestParseFlagsPeerResilience(t *testing.T) {
+	opts, err := parse("-retries", "2", "-breaker-threshold", "7", "-breaker-open", "3s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := opts.cluster
+	if c.RetryAttempts != 2 || c.BreakerThreshold != 7 || c.BreakerOpenFor != 3*time.Second {
+		t.Errorf("cluster config = %d attempts, threshold %d, open %v; want 2, 7, 3s",
+			c.RetryAttempts, c.BreakerThreshold, c.BreakerOpenFor)
+	}
+}

@@ -142,10 +142,12 @@ func IsBudget(err error) bool {
 }
 
 // TransientError marks a failure as transient infrastructure trouble — a
-// fault in the worker pool, the footprint cache, or a characterization
-// lookup that is expected to succeed if simply tried again. The resilience
-// layer retries exactly this class and nothing else; validation errors are
-// deterministic and must never be retried.
+// fault in the worker pool, the footprint cache, a characterization
+// lookup or a peer call — that is expected to succeed if simply tried again.
+// The cluster peer client retries exactly this class and nothing else;
+// validation errors are deterministic and must never be retried. actd's
+// own handlers answer it 500 on the first attempt, or 503 on the cluster
+// path.
 type TransientError struct {
 	Err error
 }

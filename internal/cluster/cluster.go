@@ -201,7 +201,7 @@ func (c *Cluster) IsLocal(id string) bool { return c.OwnerOf(id) == c.self }
 // group dimension the fold will read ("" for none) — the partial ships
 // only that dimension's slots, so a plain summary's scatter payload is
 // sized by the shard count, not by shards times distinct group keys.
-func (c *Cluster) LocalPartial(topK int, groupBy string) (Partial, error) {
+func (c *Cluster) LocalPartial(topK int, groupBy string) Partial {
 	p := Partial{
 		Node:        c.self,
 		ShardsTotal: c.reg.ShardCount(),
@@ -213,19 +213,16 @@ func (c *Cluster) LocalPartial(topK int, groupBy string) (Partial, error) {
 	if topK > 0 {
 		p.Top = c.reg.TopK(topK)
 	}
-	return p, nil
+	return p
 }
 
 // GatherPartials scatter-gathers every member's partial: the local one
 // directly, the rest over the peer clients in parallel. Unreachable
 // members land in missing (sorted) rather than failing the gather — the
-// caller decides whether a partial answer is acceptable.
+// caller decides whether a partial answer is acceptable. err is always
+// nil at present.
 func (c *Cluster) GatherPartials(ctx context.Context, topK int, groupBy string) (partials []Partial, missing []string, err error) {
-	local, err := c.LocalPartial(topK, groupBy)
-	if err != nil {
-		return nil, nil, err
-	}
-	partials = append(partials, local)
+	partials = append(partials, c.LocalPartial(topK, groupBy))
 	got, errs := fetchPartials(ctx, c.peers, topK, groupBy)
 	for i, err := range errs {
 		if err != nil {

@@ -77,8 +77,17 @@ type testCluster struct {
 
 func quietConfig() serve.Config {
 	return serve.Config{
-		Workers:          2,
-		Logger:           slog.New(slog.NewTextHandler(io.Discard, nil)),
+		Workers: 2,
+		Logger:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}
+}
+
+// memberConfig is one member's cluster configuration, with peer breakers
+// that trip after three failed calls and probe again after 150 ms.
+func memberConfig(self string, peers []string) serve.ClusterConfig {
+	return serve.ClusterConfig{
+		Self:             self,
+		Peers:            peers,
 		BreakerOpenFor:   150 * time.Millisecond,
 		BreakerThreshold: 3,
 	}
@@ -103,7 +112,7 @@ func newTestCluster(t *testing.T, n int, mutate func(*serve.Config)) *testCluste
 	}
 	for _, nd := range tc.nodes {
 		self := nd.ts.URL
-		if err := nd.srv.EnableCluster(serve.ClusterConfig{Self: self, Peers: tc.urls}); err != nil {
+		if err := nd.srv.EnableCluster(memberConfig(self, tc.urls)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,11 +250,7 @@ func TestFoldOwnPartialMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := c.LocalPartial(q.TopK, q.GroupBy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := cluster.Fold(q, []cluster.Partial{p})
+		got, err := cluster.Fold(q, []cluster.Partial{c.LocalPartial(q.TopK, q.GroupBy)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +568,7 @@ func TestClusterSeedReplacement(t *testing.T) {
 
 	old := tc.nodes[2]
 	repl := serve.New(quietConfig())
-	if err := repl.EnableCluster(serve.ClusterConfig{Self: tc.urls[2], Peers: tc.urls}); err != nil {
+	if err := repl.EnableCluster(memberConfig(tc.urls[2], tc.urls)); err != nil {
 		t.Fatal(err)
 	}
 	if err := repl.Cluster().SeedFrom(context.Background(), tc.urls[2]); err != nil {

@@ -116,7 +116,7 @@ func (r *resolver) resolveFab(k fabKey) fabRes {
 // resolveDRAM resolves a raw technology spelling through memdb.Parse. A
 // transient lookup fault (the chaos seam) is reported via ok=false and
 // NOT cached: the item falls back to the scalar oracle, which re-runs the
-// lookup and either absorbs the fault or surfaces it for retry.
+// lookup and either absorbs the fault or surfaces it to the caller.
 func (r *resolver) resolveDRAM(tech string) (dramRes, bool) {
 	if res, ok := r.drams[tech]; ok {
 		return res, true

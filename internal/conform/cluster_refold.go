@@ -86,12 +86,10 @@ func (e *Engine) clusterRefold(rep *Report, corpus []*scenario.Spec) {
 	urls := make([]string, clusterMembers)
 	for i := range srvs {
 		srvs[i] = serve.New(serve.Config{
-			Logger:           quiet,
-			MaxBatch:         1 << 20,
-			MaxBodyBytes:     1 << 30,
-			Workers:          e.cfg.Workers,
-			BreakerThreshold: 3,
-			BreakerOpenFor:   100 * time.Millisecond,
+			Logger:       quiet,
+			MaxBatch:     1 << 20,
+			MaxBodyBytes: 1 << 30,
+			Workers:      e.cfg.Workers,
 		})
 		fronts[i] = &downableFront{h: srvs[i].Handler()}
 		ts := httptest.NewServer(fronts[i])
@@ -99,7 +97,8 @@ func (e *Engine) clusterRefold(rep *Report, corpus []*scenario.Spec) {
 		urls[i] = ts.URL
 	}
 	for i, s := range srvs {
-		if err := s.EnableCluster(serve.ClusterConfig{Self: urls[i], Peers: urls}); err != nil {
+		if err := s.EnableCluster(serve.ClusterConfig{Self: urls[i], Peers: urls,
+			BreakerThreshold: 3, BreakerOpenFor: 100 * time.Millisecond}); err != nil {
 			fail("enabling cluster on member %d: %v", i, err)
 			return
 		}
@@ -282,14 +281,13 @@ func (e *Engine) clusterRefold(rep *Report, corpus []*scenario.Spec) {
 	// recompute epoch, and takes over the URL.
 	fronts[2].setDown(false)
 	repl := serve.New(serve.Config{
-		Logger:           quiet,
-		MaxBatch:         1 << 20,
-		MaxBodyBytes:     1 << 30,
-		Workers:          e.cfg.Workers,
-		BreakerThreshold: 3,
-		BreakerOpenFor:   100 * time.Millisecond,
+		Logger:       quiet,
+		MaxBatch:     1 << 20,
+		MaxBodyBytes: 1 << 30,
+		Workers:      e.cfg.Workers,
 	})
-	if err := repl.EnableCluster(serve.ClusterConfig{Self: urls[2], Peers: urls}); err != nil {
+	if err := repl.EnableCluster(serve.ClusterConfig{Self: urls[2], Peers: urls,
+		BreakerThreshold: 3, BreakerOpenFor: 100 * time.Millisecond}); err != nil {
 		fail("enabling cluster on the replacement: %v", err)
 		return
 	}

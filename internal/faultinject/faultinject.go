@@ -62,7 +62,7 @@ const (
 	// SiteScriptEval fires at the top of every sandboxed script
 	// evaluation, before the program runs, so chaos tests can fail or
 	// stall untrusted-script evaluation and assert the serving layer
-	// retries transients and answers from the status taxonomy.
+	// answers from the status taxonomy on the first attempt.
 	SiteScriptEval = "script.eval"
 	// SiteClusterRPC fires in the cluster peer client immediately before
 	// each inter-node HTTP attempt (retries revisit it), so chaos tests

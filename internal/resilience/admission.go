@@ -1,10 +1,12 @@
 // Package resilience is the fault-handling layer of the actd serving
 // stack: an admission controller that sheds load before work is accepted,
 // a retry helper with deterministic backoff and error-class awareness, and
-// a circuit breaker for the compute path behind each handler. The pieces
-// are plain, dependency-free concurrency primitives so the model packages
-// stay pure; actd wires them together and maps their typed errors onto the
-// HTTP status taxonomy (429 for shedding, 503 for an open breaker).
+// a circuit breaker. The pieces are plain, dependency-free concurrency
+// primitives so the model packages stay pure. actd sheds with admission
+// (429). Retries and breakers guard only calls whose faults are real and
+// can pass: the cluster peer client uses both, the telemetry exporter's
+// endpoint pool a breaker per endpoint. The deterministic model
+// evaluation is never retried or broken.
 package resilience
 
 import (
@@ -22,9 +24,6 @@ const (
 	// ShedDeadline: the request's deadline expired (or was about to) before
 	// a slot freed up — its work was never accepted.
 	ShedDeadline = "deadline"
-	// ShedBreaker: the circuit breaker for the handler is open. Used by the
-	// serving layer; the admission controller itself never returns it.
-	ShedBreaker = "breaker"
 )
 
 // ShedError reports that a request was turned away before any work was

@@ -8,7 +8,7 @@ import (
 )
 
 // State is a circuit breaker's position. The numeric values are the ones
-// exported on the actd_breaker_state gauge.
+// exported on the actd_cluster_peer_breaker_state gauge.
 type State int32
 
 const (
@@ -34,7 +34,7 @@ func (s State) String() string {
 }
 
 // ErrBreakerOpen is returned by Allow while the breaker rejects requests.
-// actd maps it to 503 with a Retry-After of the remaining open window.
+// On actd's cluster path it is a peer fault, answered 503.
 var ErrBreakerOpen = errors.New("circuit breaker is open")
 
 // BreakerConfig tunes a Breaker. Zero fields take the documented defaults.
@@ -93,8 +93,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 
 // Allow asks to pass through the breaker. On success it returns a done
 // function that must be called exactly once with whether the protected
-// work succeeded; on rejection it returns ErrBreakerOpen (with the time
-// until the next probe window recoverable via RetryAfter).
+// work succeeded; on rejection it returns ErrBreakerOpen.
 func (b *Breaker) Allow() (done func(success bool), err error) {
 	b.mu.Lock()
 	now := b.cfg.Now()
@@ -189,19 +188,4 @@ func (b *Breaker) State() State {
 	b.mu.Unlock()
 	b.notify()
 	return s
-}
-
-// RetryAfter returns how long until an open breaker admits probes again
-// (zero when not open).
-func (b *Breaker) RetryAfter() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state != Open {
-		return 0
-	}
-	d := b.cfg.OpenFor - b.cfg.Now().Sub(b.openedAt)
-	if d < 0 {
-		return 0
-	}
-	return d
 }

@@ -74,9 +74,6 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if _, err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow while open = %v, want ErrBreakerOpen", err)
 	}
-	if ra := b.RetryAfter(); ra != 10*time.Second {
-		t.Errorf("RetryAfter = %v, want the full open window", ra)
-	}
 
 	// After the window, exactly one probe is admitted.
 	c.Advance(11 * time.Second)

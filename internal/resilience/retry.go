@@ -33,10 +33,6 @@ type RetryPolicy struct {
 	// DefaultRetryable: retry transient infrastructure faults only — never
 	// validation errors, never context cancellation.
 	Classify func(error) bool
-	// OnRetry, if set, observes each retry about to happen (attempt is the
-	// 1-based attempt that just failed). actd uses it to count
-	// actd_retries_total.
-	OnRetry func(attempt int, err error)
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -101,9 +97,6 @@ func Retry[T any](ctx context.Context, p RetryPolicy, fn func(ctx context.Contex
 		v, err = fn(ctx, attempt)
 		if err == nil || attempt >= p.MaxAttempts || !p.Classify(err) {
 			return v, err
-		}
-		if p.OnRetry != nil {
-			p.OnRetry(attempt, err)
 		}
 		if werr := waitBackoff(ctx, p, attempt, rng); werr != nil {
 			return v, werr

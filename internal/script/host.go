@@ -278,7 +278,7 @@ func hostFootprintDoc(in *interp, pos Pos, args []Value) (Value, error) {
 // hostEvalError wraps a model-evaluation failure. Validation failures
 // (unknown node, bad field) become script errors — the program passed a
 // bad scenario; infrastructure errors pass through untouched so the
-// serving layer can classify them (transient retry, timeout).
+// serving layer can classify them (transient fault, timeout).
 func hostEvalError(pos Pos, err error) error {
 	if acterr.IsInvalid(err) {
 		return &Error{Pos: pos, Msg: err.Error(), Err: err}

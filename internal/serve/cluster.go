@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"act/internal/cluster"
 	"act/internal/fleet"
@@ -26,8 +27,9 @@ import (
 )
 
 // ClusterConfig is the actd-facing cluster configuration (cmd/actd
-// flags; everything else — registry, resilience settings, metrics — is
-// wired from the server's own config).
+// flags; the registry and metrics are wired from the server itself).
+// The retry and breaker settings guard the peer client only: a peer call
+// crosses a network, so its faults can pass on a second try.
 type ClusterConfig struct {
 	// Self is this node's base URL as the membership names it.
 	Self string
@@ -35,6 +37,13 @@ type ClusterConfig struct {
 	Peers []string
 	// Vnodes is the consistent-hash replication factor (0 = default).
 	Vnodes int
+	// RetryAttempts is the total attempts per peer RPC (0 = 3).
+	RetryAttempts int
+	// BreakerThreshold trips a peer's breaker after that many consecutive
+	// failed calls (0 = 5, negative disables the peer breakers).
+	BreakerThreshold int
+	// BreakerOpenFor holds a tripped peer breaker open (0 = 5s).
+	BreakerOpenFor time.Duration
 }
 
 // EnableCluster switches the server into cluster mode. Call it before
@@ -46,9 +55,9 @@ func (s *Server) EnableCluster(cc ClusterConfig) error {
 		Peers:            cc.Peers,
 		Vnodes:           cc.Vnodes,
 		Registry:         s.fleet,
-		RetryAttempts:    s.cfg.RetryAttempts,
-		BreakerThreshold: s.cfg.BreakerThreshold,
-		BreakerOpenFor:   s.cfg.BreakerOpenFor,
+		RetryAttempts:    cc.RetryAttempts,
+		BreakerThreshold: cc.BreakerThreshold,
+		BreakerOpenFor:   cc.BreakerOpenFor,
 		OnPeerBreakerChange: func(peer string, from, to resilience.State) {
 			s.mClusterPeerState.With(peer).Store(int64(to))
 			s.log.Warn("cluster peer breaker state change",
@@ -130,11 +139,7 @@ func (s *Server) handleClusterPartial(w http.ResponseWriter, r *http.Request) er
 	if err := (fleet.Query{GroupBy: groupBy}).Validate(); err != nil {
 		return newAPIError(http.StatusBadRequest, codeInvalidArgument, "by", fmt.Sprintf("unknown group dimension %q", groupBy))
 	}
-	p, err := c.LocalPartial(topK, groupBy)
-	if err != nil {
-		return err
-	}
-	writeJSON(w, http.StatusOK, p)
+	writeJSON(w, http.StatusOK, c.LocalPartial(topK, groupBy))
 	return nil
 }
 

@@ -56,8 +56,7 @@ func TestChaosClusterStorm(t *testing.T) {
 	}
 	t.Cleanup(faultinject.Reset)
 
-	_, _, urls := newTestCluster(t, 2, Config{
-		Workers:        2,
+	_, _, urls := newTestCluster(t, 2, Config{Workers: 2}, ClusterConfig{
 		RetryAttempts:  3,
 		BreakerOpenFor: 30 * time.Millisecond,
 	})

@@ -45,7 +45,7 @@ func (f *peerFront) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (f *peerFront) setDown(d bool) { f.mu.Lock(); f.down = d; f.mu.Unlock() }
 
 // newTestCluster builds an n-member loopback cluster of real Servers.
-func newTestCluster(t *testing.T, n int, cfg Config) ([]*Server, []*peerFront, []string) {
+func newTestCluster(t *testing.T, n int, cfg Config, cc ClusterConfig) ([]*Server, []*peerFront, []string) {
 	t.Helper()
 	srvs := make([]*Server, n)
 	fronts := make([]*peerFront, n)
@@ -62,7 +62,9 @@ func newTestCluster(t *testing.T, n int, cfg Config) ([]*Server, []*peerFront, [
 		urls[i] = ts.URL
 	}
 	for i, s := range srvs {
-		if err := s.EnableCluster(ClusterConfig{Self: urls[i], Peers: urls}); err != nil {
+		member := cc
+		member.Self, member.Peers = urls[i], urls
+		if err := s.EnableCluster(member); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,8 +111,7 @@ func metricsBody(t *testing.T, base string) string {
 // counts partial outcomes; after the peer heals the breaker closes again
 // and full scatters resume.
 func TestClusterPeerBreakerMetrics(t *testing.T) {
-	srvs, fronts, urls := newTestCluster(t, 2, Config{
-		Workers:          2,
+	srvs, fronts, urls := newTestCluster(t, 2, Config{Workers: 2}, ClusterConfig{
 		BreakerThreshold: 2,
 		BreakerOpenFor:   80 * time.Millisecond,
 	})

@@ -41,15 +41,16 @@ const (
 	codeConflict = "conflict"
 	// codeOverloaded: shed before any work was accepted (429).
 	codeOverloaded = "overloaded"
-	// codeUnavailable: draining or a circuit breaker is open (503).
+	// codeUnavailable: draining, or a cluster member the request needs is
+	// out of reach (503).
 	codeUnavailable = "unavailable"
 	// codeDegraded: fleet persistence is degraded — the store is
 	// read-only until a probe heals it, and writes are rejected (503).
 	codeDegraded = "degraded"
 	// codeTimeout: the request deadline lapsed after work was accepted (504).
 	codeTimeout = "timeout"
-	// codeInternal: an internal fault — a panic, or a transient fault that
-	// survived the retry budget (500).
+	// codeInternal: an internal fault — a panic, or an evaluation error no
+	// other class claims, answered on its first attempt (500).
 	codeInternal = "internal"
 	// codePartial: a cluster scatter-gather answered from the reachable
 	// members only — some nodes were unreachable, so the document under-
@@ -138,8 +139,8 @@ func (canceledError) Is(target error) bool { return target == context.DeadlineEx
 // classify is the one mapping from an error to its status and envelope.
 // Order matters: fixed envelopes first (a member's relayed refusal is
 // one), then limits, undecodable requests, the cluster path's own
-// classes, and the typed taxonomy; anything else — including a transient
-// fault that survived the retry budget — is 500/internal. The cluster
+// classes, and the typed taxonomy; anything else — a transient fault off
+// the cluster path included — is 500/internal. The cluster
 // classes outrank the deadline because a peer call the deadline cut off
 // arrives wrapped as transient, and on the cluster path that is 503.
 func classify(err error) (int, errorDetail) {

@@ -365,16 +365,21 @@ func TestFleetDegradedEndToEnd(t *testing.T) {
 	}
 	wantBody := fleetSummaryBody(t, ts.URL)
 
-	// The disk fills. The next write must be rejected with the degraded
-	// code — not half-applied, not a 500.
+	// The disk fills. Every write must be rejected with the degraded
+	// code — not half-applied, not a 500 — however many come in a row:
+	// the store's own answer is the honest one, so a run of them must not
+	// turn into a route-wide "unavailable".
 	m.SetDiskCap(m.Used())
-	resp := ingestFleet(t, ts.URL, fleetLine(t, "b", 20, "europe"))
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("write on full disk: status = %d, body %s", resp.StatusCode, body)
-	}
-	if e := decodeError(t, body); e.Code != codeDegraded {
-		t.Fatalf("write on full disk: code = %q, want %q", e.Code, codeDegraded)
+	for i := 0; i < 6; i++ {
+		resp := ingestFleet(t, ts.URL, fleetLine(t, "b", 20, "europe"))
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("write %d on full disk: status = %d, body %s", i+1, resp.StatusCode, body)
+		}
+		if e := decodeError(t, body); e.Code != codeDegraded {
+			t.Fatalf("write %d on full disk: code = %q, want %q", i+1, e.Code, codeDegraded)
+		}
 	}
 
 	// Readiness reports the degradation; liveness and metrics keep
@@ -409,7 +414,7 @@ func TestFleetDegradedEndToEnd(t *testing.T) {
 	}
 
 	// Space returns; the probe (the compactor's job in production) heals
-	// the store and writes flow again.
+	// the store and the very next write flows, with no window to wait out.
 	m.SetDiskCap(0)
 	if err := s.FleetStore().Probe(); err != nil {
 		t.Fatalf("probe after space returned: %v", err)

@@ -2,13 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 
-	"act/internal/resilience"
 	"act/internal/scenario"
 )
 
@@ -17,9 +15,8 @@ import (
 // object, or an array of results in request order. Both shapes run through
 // the columnar engine as a batch — a single object is a batch of one — so
 // every evaluation is cache-probed and only distinct misses cost a model
-// evaluation. A request that fails with a transient infrastructure fault
-// is retried whole (results cached by the failed attempt make the replay
-// cheap); validation failures never are.
+// evaluation. A failed evaluation is answered on its first attempt: the
+// model is deterministic, so a rerun would fail the same way.
 func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) error {
 	specs, batch, err := scenario.ParseRequest(s.body(w, r))
 	if err != nil {
@@ -31,10 +28,7 @@ func (s *Server) handleFootprint(w http.ResponseWriter, r *http.Request) error {
 			fmt.Sprintf("batch of %d scenarios exceeds the limit of %d", len(specs), s.cfg.MaxBatch))
 	}
 
-	results, err := resilience.Retry(r.Context(), s.retryPolicy(uint64(len(specs))),
-		func(ctx context.Context, _ int) ([]json.RawMessage, error) {
-			return s.evalBatchColumnar(ctx, specs, batch)
-		})
+	results, err := s.evalBatchColumnar(r.Context(), specs, batch)
 	if err != nil {
 		return err
 	}
@@ -102,15 +96,4 @@ func decodeJSON(body []byte, what string, v any) error {
 		return badRequest(fmt.Errorf("parsing %s: %w", what, err))
 	}
 	return nil
-}
-
-// retryPolicy is the server's transient-fault retry policy. The seed folds
-// the request's shape into the deterministic jitter stream so two
-// identical requests back off identically — chaos runs reproduce.
-func (s *Server) retryPolicy(seed uint64) resilience.RetryPolicy {
-	return resilience.RetryPolicy{
-		MaxAttempts: s.cfg.RetryAttempts,
-		Seed:        seed + 1, // never 0: 0 selects the package default
-		OnRetry:     func(int, error) { s.mRetries.Inc() },
-	}
 }

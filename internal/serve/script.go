@@ -13,8 +13,9 @@
 //	timeout        (504)  the request deadline lapsed (outranks the
 //	                      script's own wall-clock budget)
 //
-// Transient infrastructure faults behave like every other handler:
-// retried under the server policy, then 500/internal if they survive.
+// Any other failure is 500/internal on its first attempt, as on every
+// other handler: the interpreter is deterministic, so a rerun could only
+// fail the same way.
 
 package serve
 
@@ -26,7 +27,6 @@ import (
 	"time"
 
 	"act/internal/acterr"
-	"act/internal/resilience"
 	"act/internal/scenario"
 	"act/internal/script"
 )
@@ -100,10 +100,7 @@ func (s *Server) handleScript(w http.ResponseWriter, r *http.Request) (err error
 
 	opts := script.Options{Budget: s.scriptBudget()}
 	start := time.Now()
-	res, err := resilience.Retry(r.Context(), s.retryPolicy(uint64(len(req.Source))),
-		func(ctx context.Context, _ int) (*script.Result, error) {
-			return script.Eval(ctx, req.Source, opts)
-		})
+	res, err := script.Eval(r.Context(), req.Source, opts)
 	s.mScriptDuration.Observe(time.Since(start).Seconds())
 	if errors.Is(err, context.Canceled) {
 		// The caller's lapsed or canceled request outranks the budget

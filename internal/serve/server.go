@@ -11,7 +11,7 @@
 //	POST /v1/sweep      metric rankings / Pareto frontier over candidates
 //	POST /v1/script     a sandboxed scenario program under hard budgets
 //	GET  /healthz       liveness (always 200 while the process serves)
-//	GET  /readyz        readiness (503 while draining or a breaker is open)
+//	GET  /readyz        readiness (503 while draining or the fleet store is degraded)
 //	GET  /metrics       Prometheus text exposition
 //
 // Footprint requests fan out across the parsweep worker pool under a
@@ -22,17 +22,19 @@
 // server-imposed timeout (exceeded → 504) and shutdown is graceful:
 // in-flight requests drain, new ones are rejected with 503.
 //
-// The resilience layer sits between the router and the handlers. The full
-// status taxonomy a client can observe:
+// Admission control and the request timeout sit between the router and
+// the handlers. The model is a pure function, so an evaluation that fails
+// is answered on its first attempt: re-running it could only fail the same
+// way. The full status taxonomy a client can observe:
 //
 //	200  evaluated
 //	400  the request is the client's to fix (validation, parse, version)
 //	413  body or batch over the configured limit
 //	429  shed before any work was accepted (admission queue full, or the
 //	     deadline could not survive the queue) — carries Retry-After
-//	500  internal fault (a panic, or a transient fault that survived the
-//	     retry budget)
-//	503  draining, or the handler's circuit breaker is open — Retry-After
+//	500  internal fault (a panic, or an unclassified evaluation error)
+//	503  draining, a write to a degraded fleet store, or (cluster mode)
+//	     a member the request needs is out of reach
 //	504  the request deadline lapsed after work was accepted; the deadline
 //	     propagates so in-flight workers stop rather than run for nobody
 package serve
@@ -85,17 +87,6 @@ type Config struct {
 	// MaxQueue bounds requests waiting for an admission slot (default
 	// 2×MaxInFlight); beyond it requests shed immediately with 429.
 	MaxQueue int
-	// RetryAttempts is the total attempts (first try included) given to a
-	// scenario evaluation or batch fan-out that fails with a transient
-	// fault (default 3; 1 disables retries). Validation errors are never
-	// retried.
-	RetryAttempts int
-	// BreakerThreshold is the run of consecutive 5xx responses that trips
-	// a handler's circuit breaker (default 5; negative disables breakers).
-	BreakerThreshold int
-	// BreakerOpenFor is how long a tripped breaker rejects with 503 before
-	// probing (default 5s).
-	BreakerOpenFor time.Duration
 
 	// FleetShards is the fleet registry's lock-domain count (default 64).
 	// Device regions resolve to the paper's Table 6 averages.
@@ -137,15 +128,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue == 0 {
 		c.MaxQueue = 2 * c.MaxInFlight
 	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerOpenFor == 0 {
-		c.BreakerOpenFor = 5 * time.Second
-	}
 	return c
 }
 
@@ -159,25 +141,22 @@ type Server struct {
 	httpSrv  *http.Server
 	draining atomic.Bool
 
-	admit    *resilience.Admission          // nil when disabled
-	breakers map[string]*resilience.Breaker // per API handler; nil when disabled
-	reqIDs   *reqIDSource
+	admit  *resilience.Admission // nil when disabled
+	reqIDs *reqIDSource
 
 	fleet      *fleet.Registry
 	fleetStore atomic.Pointer[fleet.Store]     // nil until OpenFleet attaches durability
 	compactor  *fleetCompactor                 // nil unless OpenFleet started one
 	cluster    atomic.Pointer[cluster.Cluster] // nil until EnableCluster
 
-	mRequests     *prom.CounterVec // actd_requests_total{handler,code}
-	mLatency      *prom.Histogram  // actd_request_duration_seconds
-	mCacheHits    *prom.Counter    // actd_cache_hits_total
-	mCacheMisses  *prom.Counter    // actd_cache_misses_total
-	mInflight     *prom.Gauge      // actd_inflight_requests
-	mPoolDepth    *prom.Gauge      // actd_pool_depth
-	mScenarios    *prom.Counter    // actd_scenarios_total
-	mShed         *prom.CounterVec // actd_shed_total{reason}
-	mRetries      *prom.Counter    // actd_retries_total
-	mBreakerState *prom.GaugeVec   // actd_breaker_state{handler}
+	mRequests    *prom.CounterVec // actd_requests_total{handler,code}
+	mLatency     *prom.Histogram  // actd_request_duration_seconds
+	mCacheHits   *prom.Counter    // actd_cache_hits_total
+	mCacheMisses *prom.Counter    // actd_cache_misses_total
+	mInflight    *prom.Gauge      // actd_inflight_requests
+	mPoolDepth   *prom.Gauge      // actd_pool_depth
+	mScenarios   *prom.Counter    // actd_scenarios_total
+	mShed        *prom.CounterVec // actd_shed_total{reason}
 
 	mFleetIngest    *prom.CounterVec // actd_fleet_ingest_total{code}
 	mFleetRecompute *prom.Histogram  // actd_fleet_recompute_seconds
@@ -226,10 +205,6 @@ func New(cfg Config) *Server {
 		"Scenarios evaluated across all requests, cached or not.")
 	s.mShed = s.reg.NewCounterVec("actd_shed_total",
 		"Requests turned away before any work was accepted, by reason.", "reason")
-	s.mRetries = s.reg.NewCounter("actd_retries_total",
-		"Transient-fault retries of whole footprint and script requests.")
-	s.mBreakerState = s.reg.NewGaugeVec("actd_breaker_state",
-		"Circuit breaker position per handler (0 closed, 1 open, 2 half-open).", "handler")
 	s.reg.NewGaugeFunc("actd_fleet_devices",
 		"Devices registered in the fleet registry.", func() int64 {
 			return int64(s.fleet.Len())
@@ -295,23 +270,6 @@ func New(cfg Config) *Server {
 			}
 			return s.admit.Queued()
 		})
-
-	if cfg.BreakerThreshold > 0 {
-		s.breakers = map[string]*resilience.Breaker{}
-		for _, name := range []string{"footprint", "sweep", "script", "fleet_ingest", "fleet_recompute"} {
-			name := name
-			s.mBreakerState.With(name).Store(int64(resilience.Closed))
-			s.breakers[name] = resilience.NewBreaker(resilience.BreakerConfig{
-				FailureThreshold: cfg.BreakerThreshold,
-				OpenFor:          cfg.BreakerOpenFor,
-				OnStateChange: func(from, to resilience.State) {
-					s.mBreakerState.With(name).Store(int64(to))
-					s.log.Warn("breaker state change", "handler", name,
-						"from", from.String(), "to", to.String())
-				},
-			})
-		}
-	}
 
 	s.mux.Handle("POST /v1/footprint", s.api("footprint", s.handleFootprint))
 	s.mux.Handle("POST /v1/sweep", s.api("sweep", s.handleSweep))
@@ -380,7 +338,7 @@ type apiHandler func(http.ResponseWriter, *http.Request) error
 // api wraps an API handler with the service middleware, outermost first:
 // request-id propagation, drain rejection, in-flight accounting, the
 // per-request timeout, admission control (shed with 429 before any work),
-// the handler's circuit breaker (503 while open), a panic barrier (500),
+// a panic barrier (500),
 // the error envelope, metrics and structured request logging. The request
 // log line of an answer whose envelope this server wrote names its code
 // as error_code.
@@ -415,8 +373,8 @@ func (s *Server) api(name string, h apiHandler) http.Handler {
 	})
 }
 
-// dispatch runs one admitted-or-shed request through the resilience layers
-// and the handler. It always writes a complete response to rec; every
+// dispatch runs one admitted-or-shed request through admission, the
+// request timeout and the panic barrier to the handler. It always writes a complete response to rec; every
 // failure, the middleware's own included, goes through writeError.
 func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h apiHandler) {
 	fail := func(err error) { rec.errCode = s.writeError(rec, r, err) }
@@ -447,23 +405,6 @@ func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h a
 		defer release()
 	}
 
-	// Circuit breaker around everything the handler computes.
-	if brk := s.breakers[name]; brk != nil {
-		done, err := brk.Allow()
-		if err != nil {
-			s.mShed.With(resilience.ShedBreaker).Add(1)
-			if ra := brk.RetryAfter(); ra > 0 {
-				rec.Header().Set("Retry-After", retryAfterSeconds(ra))
-			}
-			fail(newAPIError(http.StatusServiceUnavailable, codeUnavailable, "",
-				"service temporarily unavailable: "+err.Error()))
-			return
-		}
-		// The panic barrier below runs first (deferred later), so rec.code
-		// is final — a panic counts as the 500 it produced.
-		defer func() { done(rec.code < 500) }()
-	}
-
 	// Panic barrier: a crashing evaluation answers 500 with the request id
 	// instead of killing the connection (or, unrecovered, the process).
 	defer func() {
@@ -477,7 +418,7 @@ func (s *Server) dispatch(name string, rec *statusRecorder, r *http.Request, h a
 			if !rec.wrote {
 				fail(errors.New("internal error"))
 			} else {
-				rec.code = http.StatusInternalServerError // for metrics/breaker
+				rec.code = http.StatusInternalServerError // for metrics and the log
 			}
 		}
 	}()
@@ -534,10 +475,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz is the readiness probe: 503 while draining, while fleet
+// handleReadyz is the readiness probe: 503 while draining or while fleet
 // persistence is degraded (the store is read-only until a probe heals
-// it), or while any handler's circuit breaker is open, so load balancers
-// route around a server that would only shed or reject; 200 otherwise.
+// it), so load balancers route around a server that would only reject;
+// 200 otherwise.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
@@ -548,15 +489,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 				"status": "degraded",
 				"reason": reason,
-			})
-			return
-		}
-	}
-	for name, brk := range s.breakers {
-		if brk.State() == resilience.Open {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-				"status":  "breaker-open",
-				"handler": name,
 			})
 			return
 		}
