@@ -120,6 +120,7 @@ verify-chaos:
 	$(GO) test -run FuzzScriptEval -fuzz FuzzScriptEval -fuzztime 10s ./internal/script/
 	$(GO) test -run FuzzJSONScalars -fuzz FuzzJSONScalars -fuzztime 10s ./internal/report/
 	$(GO) test -run FuzzSweepDecode -fuzz FuzzSweepDecode -fuzztime 10s ./internal/serve/
+	$(GO) test -run FuzzSweepEncode -fuzz FuzzSweepEncode -fuzztime 10s ./internal/serve/
 	$(GO) test -run FuzzScriptRequestDecode -fuzz FuzzScriptRequestDecode -fuzztime 10s ./internal/serve/
 	$(GO) test -run FuzzSpecFromValue -fuzz FuzzSpecFromValue -fuzztime 10s ./internal/script/
 
@@ -194,10 +195,15 @@ bench-script:
 
 # The /v1/sweep request perfbench's design workload sends (1000
 # candidates, every Table 2 ranking, a 3-axis Pareto frontier) through the
-# whole handler, beside metrics.Rank alone over the same candidate count
-# under all six metrics. Recorded as BENCH_25.json.
+# whole handler: decode, radix rank, sort-filter frontier and the direct
+# response writer. Beside it, metrics.Rank alone over the same candidate
+# count under all six metrics, and dse.NonDominated on 3 columns over 1000
+# perfbench-shaped rows and 2000 rows half on a plane (a frontier of about
+# a thousand). -p 1 runs the three packages one after another, so no
+# benchmark shares the CPUs with another. Recorded as BENCH_25.json and
+# BENCH_32.json.
 bench-sweep:
-	$(BENCHSH) -bench 'SweepHandler$$|Rank1000$$' ./internal/serve/ ./internal/metrics/
+	$(BENCHSH) -p 1 -bench 'SweepHandler$$|Rank1000$$|NonDominated3D$$' ./internal/serve/ ./internal/metrics/ ./internal/dse/
 
 # Cluster acceptance: the 1M-device scatter-gather summary on a 3-member
 # in-process cluster versus the same fleet on one node (setup takes about

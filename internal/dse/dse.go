@@ -8,10 +8,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"act/internal/metrics"
-	"act/internal/parsweep"
 )
 
 // Objective extracts a lower-is-better scalar from a candidate.
@@ -126,10 +126,10 @@ func ParetoFrontierCtx(ctx context.Context, cands []metrics.Candidate, objective
 // least as good in every column and strictly better in one, so duplicate
 // rows all survive. NaN entries read as +Inf (they are rewritten in place)
 // and lose every comparison instead of silently surviving them. Two
-// columns take an O(n log n) sort; any other width takes the pairwise
-// scan, which fans out across workers for large n and stops between rows
-// once ctx is done. It is the frontier core of ParetoFrontierCtx and of
-// the script interpreter's pareto().
+// columns take pareto2D's O(n log n) sweep; any other width takes
+// sortFilter, which stops between rows once ctx is done. It is the
+// frontier core of ParetoFrontierCtx and of the script interpreter's
+// pareto().
 func NonDominated(ctx context.Context, vals [][]float64) ([]bool, error) {
 	for _, row := range vals {
 		for j, v := range row {
@@ -141,7 +141,7 @@ func NonDominated(ctx context.Context, vals [][]float64) ([]bool, error) {
 	if len(vals) > 0 && len(vals[0]) == 2 {
 		return pareto2D(vals), nil
 	}
-	return paretoScan(ctx, vals)
+	return sortFilter(ctx, vals)
 }
 
 // pareto2D marks the non-dominated rows of an n×2 matrix in O(n log n):
@@ -181,40 +181,57 @@ func pareto2D(vals [][]float64) []bool {
 	return keep
 }
 
-// scanParallelCutoff is the row count beyond which the pairwise dominance
-// scan fans out across workers; below it the pool overhead outweighs the
-// O(n²) work.
-const scanParallelCutoff = 512
-
-// paretoScan marks the non-dominated rows of an n×k matrix by pairwise
-// scan, with cancellation between rows. Each row's verdict is independent,
-// so large inputs are checked in parallel (each worker writes only its own
-// keep[i]).
-func paretoScan(ctx context.Context, vals [][]float64) ([]bool, error) {
-	n := len(vals)
-	dominatedRow := func(i int, row []float64) bool {
-		for j := 0; j < n; j++ {
-			if i != j && dominatesVals(vals[j], row) {
-				return true
-			}
-		}
-		return false
+// sortFilter marks the non-dominated rows of an n×k matrix by sort-filter.
+// A row that dominates another is lexicographically smaller, so once the
+// rows are in lexicographic order a row can be dominated only by an
+// earlier one; and since dominance is transitive, a dominated row is
+// dominated by some non-dominated one. Each row is therefore checked only
+// against the frontier kept so far, with cancellation every 64 rows.
+func sortFilter(ctx context.Context, vals [][]float64) ([]bool, error) {
+	order := make([]int32, len(vals))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	if n >= scanParallelCutoff {
-		return parsweep.MapCtx(ctx, 0, vals, func(_ context.Context, i int, row []float64) bool {
-			return !dominatedRow(i, row)
-		})
-	}
-	keep := make([]bool, n)
-	for i, row := range vals {
-		if i%64 == 0 {
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(vals[a], vals[b]) })
+	keep := make([]bool, len(vals))
+	var front []float64 // the kept rows, flattened in sorted order
+	for n, i := range order {
+		if n%64 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		keep[i] = !dominatedRow(i, row)
+		if row := vals[i]; !frontDominates(front, row) {
+			keep[i] = true
+			front = append(front, row...)
+		}
 	}
 	return keep, nil
+}
+
+// frontDominates reports whether a row of front, rows of len(row) values
+// each that sort lexicographically at or before row, dominates row. Such a
+// row is at least as good in column 0 already, so it dominates row when it
+// is at least as good in every other column and is not equal to it.
+func frontDominates(front, row []float64) bool {
+	k := len(row)
+	if k == 0 {
+		return false
+	}
+	for o := 0; o < len(front); o += k {
+		f := front[o : o+k : o+k]
+		below := true
+		for j := 1; j < k; j++ {
+			if f[j] > row[j] {
+				below = false
+				break
+			}
+		}
+		if below && !slices.Equal(f, row) {
+			return true
+		}
+	}
+	return false
 }
 
 // dominatesVals is Dominates over precomputed objective rows.

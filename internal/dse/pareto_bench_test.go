@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -70,5 +71,45 @@ func BenchmarkParetoFrontierFast(b *testing.B) {
 		if perOp > 0 {
 			b.ReportMetric(float64(seqPerOp)/float64(perOp), "speedup")
 		}
+	}
+}
+
+// nonDominated3DRows builds two 3-column matrices. "perfbench-1000" has
+// the shape of perfbench's sweep frontier (embodied, energy, delay drawn
+// independently), where the frontier stays small. "plane-2000" puts half
+// its rows on the plane x+y+z = 150, where no row dominates another, and
+// the other half at random above it: a frontier of about a thousand rows.
+func nonDominated3DRows() map[string][][]float64 {
+	g := lcg(32)
+	perf := make([][]float64, 1000)
+	for i := range perf {
+		perf[i] = []float64{1000 + 50000*g.next(), 1e7 * g.next(), float64(1+int(100000*g.next())) / 1000}
+	}
+	plane := make([][]float64, 2000)
+	for i := range plane {
+		x, y := 50*g.next(), 50*g.next()
+		if i%2 == 0 {
+			plane[i] = []float64{x, y, 150 - x - y}
+		} else {
+			plane[i] = []float64{50 + x, 50 + y, 50 + 50*g.next()}
+		}
+	}
+	return map[string][][]float64{"perfbench-1000": perf, "plane-2000": plane}
+}
+
+// BenchmarkNonDominated3D times the 3-column frontier core on both
+// matrices; NonDominated leaves a NaN-free matrix as it found it, so one
+// copy serves every iteration.
+func BenchmarkNonDominated3D(b *testing.B) {
+	rows := nonDominated3DRows()
+	for _, name := range []string{"perfbench-1000", "plane-2000"} {
+		vals := rows[name]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := NonDominated(context.Background(), vals); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -56,10 +56,10 @@ func randomCands(n int, seed uint64) []metrics.Candidate {
 }
 
 // TestParetoFastMatchesReference checks the sorted 2-objective path and the
-// ND matrix path against the reference implementation on random datasets,
-// including sizes above the parallel cutoff.
+// ND matrix path against the reference implementation on random datasets
+// of up to 562 rows.
 func TestParetoFastMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17, 200, scanParallelCutoff + 50} {
+	for _, n := range []int{1, 2, 3, 17, 200, 512 + 50} {
 		cands := randomCands(n, uint64(n)*7919+1)
 		for _, objs := range [][]Objective{
 			{Embodied, Delay},
@@ -235,7 +235,7 @@ func bruteNonDominated(vals [][]float64) []bool {
 func TestNonDominatedMatchesBrute(t *testing.T) {
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
 	for _, k := range []int{1, 2, 3} {
-		for _, n := range []int{0, 1, 2, 7, 60, scanParallelCutoff + 9} {
+		for _, n := range []int{0, 1, 2, 7, 60, 512 + 9} {
 			g := lcg(uint64(k*1000 + n))
 			vals := make([][]float64, n)
 			for i := range vals {
@@ -281,12 +281,12 @@ func TestNonDominatedNaNRewritten(t *testing.T) {
 	}
 }
 
-// TestNonDominatedCancelled: the scan stops on a done context, on both the
-// sequential and the fanned-out path.
+// TestNonDominatedCancelled: the frontier stops on a done context, at a
+// small and a large row count.
 func TestNonDominatedCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, n := range []int{10, scanParallelCutoff} {
+	for _, n := range []int{10, 512} {
 		vals := make([][]float64, n)
 		for i := range vals {
 			vals[i] = []float64{float64(i), float64(n - i), 0}

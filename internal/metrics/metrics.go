@@ -137,35 +137,90 @@ type Scored struct {
 // Rank evaluates all candidates under a metric and returns them sorted
 // best (lowest) first. Ties preserve input order.
 //
-// Each value is computed once; the sort then moves int32 indices, not
-// Scored structs. slices.SortStableFunc runs the same insertion-block and
-// symMerge algorithm as sort.SliceStable and asks only whether cmp < 0,
-// so with a comparator that answers -1 exactly when a < b the order is
-// the one a stable sort by < gives, NaN and ±Inf values included.
+// Each value is computed once and the sort moves int32 indices. Without a
+// NaN, < is a total order, and radixOrder's stable sort over rankKey gives
+// the order any stable sort by < gives. With one, the order is whatever
+// the stable merge sort makes of <, so an input holding a NaN keeps
+// slices.SortStableFunc, the insertion-block and symMerge code of
+// sort.SliceStable, with a comparator that answers -1 exactly when a < b.
 func Rank(m Metric, cs []Candidate) ([]Scored, error) {
 	if len(cs) == 0 {
 		return nil, fmt.Errorf("metrics: no candidates")
 	}
 	vals := make([]float64, len(cs))
-	idx := make([]int32, len(cs))
+	keys := make([]uint64, len(cs))
+	idx := make([]int32, 2*len(cs)) // the second half is radixOrder's scratch
+	nan := false
 	for i, c := range cs {
 		v, err := Eval(m, c)
 		if err != nil {
 			return nil, err
 		}
-		vals[i], idx[i] = v, int32(i)
+		vals[i], keys[i], idx[i] = v, rankKey(v), int32(i)
+		nan = nan || math.IsNaN(v)
 	}
-	slices.SortStableFunc(idx, func(a, b int32) int {
-		if vals[a] < vals[b] {
-			return -1
-		}
-		return 0
-	})
+	if nan {
+		idx = idx[:len(cs)]
+		slices.SortStableFunc(idx, func(a, b int32) int {
+			if vals[a] < vals[b] {
+				return -1
+			}
+			return 0
+		})
+	} else {
+		idx = radixOrder(idx[:len(cs)], idx[len(cs):], keys)
+	}
 	out := make([]Scored, len(cs))
 	for i, j := range idx {
 		out[i] = Scored{Candidate: cs[j], Value: vals[j]}
 	}
 	return out, nil
+}
+
+// rankKey maps a non-NaN v to a key whose unsigned order is v's order
+// under <: a set sign bit flips every bit, a clear one sets the sign bit.
+// −0 folds onto +0, the one pair of distinct bits that < ties.
+func rankKey(v float64) uint64 {
+	if v == 0 {
+		v = 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixOrder stable-sorts idx by keys[idx[i]], one byte per pass from the
+// least significant up. One scan counts all eight digits; a pass whose
+// digit every key shares moves nothing and is skipped. It returns the
+// sorted indices, which sit in idx or in tmp, a scratch slice as long.
+func radixOrder(idx, tmp []int32, keys []uint64) []int32 {
+	var count [8][256]int32
+	for _, k := range keys {
+		for p := range count {
+			count[p][byte(k>>(8*p))]++
+		}
+	}
+	for p := range count {
+		c := &count[p]
+		shift := 8 * p
+		if c[byte(keys[0]>>shift)] == int32(len(keys)) {
+			continue
+		}
+		var sum int32
+		for d, n := range c {
+			c[d] = sum
+			sum += n
+		}
+		for _, j := range idx {
+			d := byte(keys[j] >> shift)
+			tmp[c[d]] = j
+			c[d]++
+		}
+		idx, tmp = tmp, idx
+	}
+	return idx
 }
 
 // Best returns the candidate minimizing the metric.

@@ -31,11 +31,14 @@ func oracleRank(m Metric, cs []Candidate) ([]Scored, error) {
 }
 
 // differentialSet draws n candidates whose metric values tie, repeat
-// whole candidates, reach +Inf (1e300·1e300) and NaN (0·Inf in C2EP and
-// CE2P), so every comparison case of the sort is exercised.
+// whole candidates, reach +Inf (1e300·1e300), NaN (0·Inf in C2EP and
+// CE2P) and −0 (a −0 quantity, which Validate admits, times a positive
+// one), so every comparison case of the sort is exercised.
 func differentialSet(rng *rand.Rand, n int) []Candidate {
 	pick := func() float64 {
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
+		case 8:
+			return math.Copysign(0, -1)
 		case 0:
 			return 0
 		case 1:
@@ -66,12 +69,17 @@ func differentialSet(rng *rand.Rand, n int) []Candidate {
 
 // TestRankMatchesOracle holds Rank to oracleRank over seeded sets under
 // all six metrics: the same candidates, in the same order, with the same
-// value bits.
+// value bits. One set in fifty holds 257 to about 1500 candidates, so
+// every digit count of the radix sort runs past a single byte.
 func TestRankMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	sawNaN, sawInf := false, false
+	sawNaN, sawInf, sawNegZero := false, false, false
 	for set := 0; set < 2000; set++ {
-		cs := differentialSet(rng, 1+rng.Intn(70))
+		n := 1 + rng.Intn(70)
+		if set%50 == 0 {
+			n = 257 + rng.Intn(1250)
+		}
+		cs := differentialSet(rng, n)
 		for _, m := range All() {
 			got, err := Rank(m, cs)
 			want, wantErr := oracleRank(m, cs)
@@ -88,10 +96,36 @@ func TestRankMatchesOracle(t *testing.T) {
 				}
 				sawNaN = sawNaN || math.IsNaN(want[i].Value)
 				sawInf = sawInf || math.IsInf(want[i].Value, 1)
+				sawNegZero = sawNegZero || math.Signbit(want[i].Value) && want[i].Value == 0
 			}
 		}
 	}
-	if !sawNaN || !sawInf {
-		t.Fatalf("the sets never reached NaN (%v) or +Inf (%v)", sawNaN, sawInf)
+	if !sawNaN || !sawInf || !sawNegZero {
+		t.Fatalf("the sets never reached NaN (%v), +Inf (%v) or −0 (%v)", sawNaN, sawInf, sawNegZero)
+	}
+}
+
+// TestRankKeepsNegativeZero: −0 and +0 tie, so they keep input order,
+// and each comes back with its own sign bit.
+func TestRankKeepsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cs := []Candidate{
+		{Name: "one", Embodied: units.Grams(1), Delay: time.Second},
+		{Name: "pos", Embodied: units.Grams(0), Delay: time.Second},
+		{Name: "neg", Embodied: units.Grams(negZero), Delay: time.Second},
+	}
+	ranked, err := Rank(CDP, cs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sc := range ranked {
+		names = append(names, sc.Candidate.Name)
+	}
+	if fmt.Sprint(names) != "[pos neg one]" {
+		t.Fatalf("order %v, want [pos neg one]", names)
+	}
+	if math.Signbit(ranked[0].Value) || !math.Signbit(ranked[1].Value) {
+		t.Fatalf("values %v and %v lost their sign bits", ranked[0].Value, ranked[1].Value)
 	}
 }

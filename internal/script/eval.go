@@ -53,10 +53,8 @@ func (ctrlContinue) Error() string { return "continue outside a loop" }
 const ctxCheckInterval = 1024
 
 // interp is one evaluation's state. It is single-goroutine; nothing here
-// needs locking. The evaluator spawns no goroutines of its own, and the one
-// host call that fans out (pareto over a large point set, through
-// dse.NonDominated) joins its workers before returning, so a cut-off
-// program leaks none.
+// needs locking. Neither the evaluator nor a host call starts a goroutine,
+// so a cut-off program leaks none.
 type interp struct {
 	ctx      context.Context // budget-bounded context (outer + script timeout)
 	outerCtx context.Context // the caller's context, unwrapped

@@ -32,8 +32,7 @@
 // any of them aborts evaluation with a typed *acterr.BudgetError (the
 // `script_budget` wire code); everything else a broken program can do
 // surfaces as a *script.Error (the `invalid_script` wire code). The
-// evaluator spawns no goroutines of its own, and pareto's fan-out over a
-// large point set joins its workers before returning, so a cut-off program
+// evaluator and its host calls start no goroutines, so a cut-off program
 // leaks nothing.
 package script
 

@@ -93,6 +93,32 @@ func registerStorm(rng *chaosRNG) {
 	})
 }
 
+// stormDRAM is the n-th spelling of lpddr4 that memdb.Parse folds back
+// to it: a case pattern, then padding on both sides.
+func stormDRAM(n int) string {
+	tech := []byte("lpddr4")
+	for i := 0; i < 5; i++ {
+		if n>>i&1 == 1 {
+			tech[i] -= 'a' - 'A'
+		}
+	}
+	n >>= 5
+	return strings.Repeat(" ", n%16) + string(tech) + strings.Repeat(" ", n/16)
+}
+
+// stormSpec is testSpec(area) with its 4 GB of DRAM split over four
+// modules, each with a spelling of its own (stormDRAM(4n) to
+// stormDRAM(4n+3)). colbatch's pooled resolver caches resolutions by
+// spelling, so every module misses it and visits the memdb.lookup site.
+func stormSpec(area float64, n int) *scenario.Spec {
+	s := testSpec(area)
+	s.DRAM = make([]scenario.DRAMSpec, 4)
+	for k := range s.DRAM {
+		s.DRAM[k] = scenario.DRAMSpec{Name: fmt.Sprintf("ram%d", k), Technology: stormDRAM(4*n + k), CapacityGB: 1}
+	}
+	return s
+}
+
 // TestChaosStorm is the headline chaos run. Faults are injected at every
 // site while concurrent clients send single and batch requests; then the
 // storm stops and the same requests must evaluate cleanly and
@@ -121,6 +147,9 @@ func TestChaosStorm(t *testing.T) {
 	registerStorm(rng)
 
 	// The storm: concurrent clients, mixed shapes, every response drained.
+	// Every footprint scenario is new to the cache (its area carries the
+	// round) and spells its DRAM differently (stormSpec), so each one that
+	// passes the cache site is evaluated and visits memdb.lookup.
 	const clients, rounds = 8, 12
 	codeCount := make([]map[int]int, clients)
 	var wg sync.WaitGroup
@@ -131,14 +160,15 @@ func TestChaosStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				url := ts.URL + "/v1/footprint"
+				spelling, round := (c*rounds+i)*21, float64(i)/100
 				var body []byte
 				switch i % 3 {
 				case 0:
-					body = mustJSON(t, testSpec(float64(50+c)))
+					body = mustJSON(t, stormSpec(float64(50+c)+round, spelling))
 				case 1:
 					specs := make([]*scenario.Spec, 20)
 					for j := range specs {
-						specs[j] = testSpec(float64(100 + c*100 + j))
+						specs[j] = stormSpec(float64(100+c*100+j)+round, spelling+1+j)
 					}
 					body = mustJSON(t, specs)
 				default:
@@ -186,6 +216,7 @@ func TestChaosStorm(t *testing.T) {
 		faultinject.Fired(faultinject.SiteScriptEval))
 	if faultinject.Fired(faultinject.SiteCacheCompute) == 0 ||
 		faultinject.Fired(faultinject.SitePoolWorker) == 0 ||
+		faultinject.Fired(faultinject.SiteMemdbLookup) == 0 ||
 		faultinject.Fired(faultinject.SiteScriptEval) == 0 {
 		t.Error("fault storm never fired at a primary site — the chaos run tested nothing")
 	}

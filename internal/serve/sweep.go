@@ -11,6 +11,7 @@ import (
 	"act/internal/acterr"
 	"act/internal/dse"
 	"act/internal/metrics"
+	"act/internal/report"
 	"act/internal/scenario"
 	"act/internal/units"
 )
@@ -34,21 +35,6 @@ type sweepCandidate struct {
 	EnergyJ   float64 `json:"energy_j"`
 	DelayS    float64 `json:"delay_s"`
 	AreaMM2   float64 `json:"area_mm2,omitempty"`
-}
-
-type sweepResponse struct {
-	Rankings []sweepRanking `json:"rankings,omitempty"`
-	Pareto   []string       `json:"pareto,omitempty"`
-}
-
-type sweepRanking struct {
-	Metric string       `json:"metric"`
-	Ranked []sweepScore `json:"ranked"`
-}
-
-type sweepScore struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
 }
 
 // builtinObjectives maps the Pareto axis names to the dse objectives.
@@ -110,7 +96,10 @@ func fastSweep(body []byte) (req sweepRequest, ok bool) {
 
 // handleSweep ranks candidate design points under the requested Table 2
 // metrics and/or reduces them to a Pareto frontier. The body goes through
-// fastSweep first and, when that declines, through decodeJSON.
+// fastSweep first and, when that declines, through decodeJSON. The answer
+// is appended directly, as the bytes json.NewEncoder gives sweepResponse
+// in sweep_test.go; each key is left out when the request does not ask
+// for it (a frontier of one or more candidates is never empty).
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 	body, err := s.readBody(w, r)
 	if err != nil {
@@ -152,24 +141,27 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 		}
 	}
 
-	var resp sweepResponse
-
-	for _, name := range expandMetrics(req.Rank) {
-		m := metrics.Metric(strings.ToUpper(strings.TrimSpace(name)))
-		ranked, err := metrics.Rank(m, cands)
-		if err != nil {
-			return acterr.Invalid("rank", "%v", err)
+	buf := getBuf()
+	defer putBuf(buf)
+	out := append(buf.AvailableBuffer(), '{')
+	names := expandMetrics(req.Rank)
+	if len(names) > 0 {
+		out = append(out, `"rankings":[`...)
+		for k, name := range names {
+			m := metrics.Metric(strings.ToUpper(strings.TrimSpace(name)))
+			ranked, err := metrics.Rank(m, cands)
+			if err != nil {
+				return acterr.Invalid("rank", "%v", err)
+			}
+			if k > 0 {
+				out = append(out, ',')
+			}
+			var ok bool
+			if out, ok = appendRanking(out, m, ranked); !ok {
+				return nonFinite(m, cands)
+			}
 		}
-		sr := sweepRanking{Metric: string(m), Ranked: make([]sweepScore, len(ranked))}
-		finite := true
-		for i, sc := range ranked {
-			sr.Ranked[i] = sweepScore{Name: sc.Candidate.Name, Value: sc.Value}
-			finite = finite && !math.IsInf(sc.Value, 0) && !math.IsNaN(sc.Value)
-		}
-		if !finite {
-			return nonFinite(m, cands)
-		}
-		resp.Rankings = append(resp.Rankings, sr)
+		out = append(out, ']')
 	}
 
 	if len(req.Pareto) > 0 {
@@ -194,14 +186,44 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
 			}
 			return acterr.Invalid("pareto", "%v", err)
 		}
-		resp.Pareto = make([]string, len(frontier))
-		for i, c := range frontier {
-			resp.Pareto[i] = c.Name
+		if len(names) > 0 {
+			out = append(out, ',')
 		}
+		out = append(out, `"pareto":[`...)
+		for i, c := range frontier {
+			if i > 0 {
+				out = append(out, ',')
+			}
+			out = report.AppendJSONString(out, c.Name)
+		}
+		out = append(out, ']')
 	}
+	buf.Write(append(out, "}\n"...))
 
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(buf.Bytes())
 	return nil
+}
+
+// appendRanking appends one ranking object. ok is false when a value is
+// NaN or ±Inf, which JSON cannot carry.
+func appendRanking(out []byte, m metrics.Metric, ranked []metrics.Scored) (_ []byte, ok bool) {
+	out = append(out, `{"metric":`...)
+	out = report.AppendJSONString(out, string(m))
+	out = append(out, `,"ranked":[`...)
+	for i, sc := range ranked {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, `{"name":`...)
+		out = report.AppendJSONString(out, sc.Candidate.Name)
+		out = append(out, `,"value":`...)
+		if out, ok = report.AppendJSONFloat(out, sc.Value); !ok {
+			return out, false
+		}
+		out = append(out, '}')
+	}
+	return append(out, "]}"...), true
 }
 
 // nonFinite is the 400 for a ranking holding a NaN or ±Inf value, which
